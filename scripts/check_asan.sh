@@ -12,12 +12,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER="${1:-ServiceTest|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|AnalyzeSat|AnalyzeRewrite|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest}"
+FILTER="${1:-ServiceTest|SynopsisSalvage|FuzzHarness|fuzz_smoke|chaos_smoke|export_fuzz_smoke|prune_fuzz_smoke|ShadowSamplingTest|MaintenanceTest|LiveDocumentTest|LiveSynopsisTest|FlatDocument|AnalyzeSat|AnalyzeRewrite|ServiceIntel|FlightRecorderTest|TimeSeriesTest|SloEngineTest|ServiceFlightTest}"
 
 cmake -B build-asan -S . -DXEE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$(nproc)" \
   --target service_test serialize_test fuzz_test fuzz_driver \
   accuracy_shadow_test delta_test maintenance_test analyze_test \
-  flight_test
+  flight_test flat_document_test
 (cd build-asan && ctest -R "$FILTER" --output-on-failure)
 echo "ASan/UBSan checks passed."

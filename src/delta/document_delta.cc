@@ -1,5 +1,6 @@
 #include "delta/document_delta.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -24,15 +25,43 @@ LiveDocument::LiveDocument(xml::Document doc) : doc_(std::move(doc)) {
 std::vector<xml::NodeId> LiveDocument::PreorderNodes() const {
   std::vector<xml::NodeId> out;
   out.reserve(live_count_);
-  std::vector<xml::NodeId> stack{doc_.root()};
-  while (!stack.empty()) {
-    xml::NodeId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    const std::vector<xml::NodeId>& kids = doc_.Children(n);
-    for (size_t i = kids.size(); i-- > 0;) stack.push_back(kids[i]);
-  }
+  doc_.ForEachPreorder(doc_.root(), [&out](xml::NodeId n) { out.push_back(n); });
   XEE_CHECK(out.size() == live_count_);
+  return out;
+}
+
+std::vector<xml::NodeId> LiveDocument::NodesAtRanks(
+    std::span<const uint32_t> ranks,
+    std::vector<uint32_t>* parent_ranks) const {
+  std::vector<uint32_t> order(ranks.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return ranks[a] < ranks[b]; });
+  std::vector<xml::NodeId> out(ranks.size(), xml::kNullNode);
+  if (parent_ranks != nullptr) parent_ranks->assign(ranks.size(), 0);
+  // Pre-order cursor: `open` holds the ranks of n's proper ancestors.
+  std::vector<uint32_t> open;
+  xml::NodeId n = doc_.root();
+  uint32_t rank = 0;
+  for (uint32_t i : order) {
+    XEE_CHECK(ranks[i] < live_count_);
+    for (; rank < ranks[i]; ++rank) {
+      if (doc_.FirstChild(n) != xml::kNullNode) {
+        open.push_back(rank);
+        n = doc_.FirstChild(n);
+        continue;
+      }
+      while (doc_.NextSibling(n) == xml::kNullNode) {
+        n = doc_.Parent(n);
+        open.pop_back();
+      }
+      n = doc_.NextSibling(n);
+    }
+    out[i] = n;
+    if (parent_ranks != nullptr && !open.empty()) {
+      (*parent_ranks)[i] = open.back();
+    }
+  }
   return out;
 }
 
@@ -41,14 +70,13 @@ Result<std::vector<xml::NodeId>> LiveDocument::ResolveTargets(
   if (delta.ops.empty()) return Invalid("empty batch");
   uint64_t corrupt_payload = 0;
   const bool corrupted = FaultFires(kCorruptFaultSite, &corrupt_payload);
-  const std::vector<xml::NodeId> by_rank = PreorderNodes();
-  std::vector<xml::NodeId> resolved;
-  resolved.reserve(delta.ops.size());
+  std::vector<uint32_t> ranks;
+  ranks.reserve(delta.ops.size());
   for (size_t i = 0; i < delta.ops.size(); ++i) {
     const DeltaOp& op = delta.ops[i];
     uint64_t rank = op.target;
     if (corrupted && i == 0) rank += live_count_ + corrupt_payload + 1;
-    if (rank >= by_rank.size()) return Invalid("target rank out of range");
+    if (rank >= live_count_) return Invalid("target rank out of range");
     if (op.kind == DeltaOp::Kind::kDelete) {
       if (rank == 0) return Invalid("cannot delete the document root");
     } else {
@@ -65,9 +93,9 @@ Result<std::vector<xml::NodeId>> LiveDocument::ResolveTargets(
         }
       }
     }
-    resolved.push_back(by_rank[rank]);
+    ranks.push_back(static_cast<uint32_t>(rank));
   }
-  return resolved;
+  return NodesAtRanks(ranks);
 }
 
 std::vector<xml::NodeId> LiveDocument::InsertSubtree(xml::NodeId parent,
@@ -89,14 +117,7 @@ std::vector<xml::NodeId> LiveDocument::InsertSubtree(xml::NodeId parent,
 std::vector<xml::NodeId> LiveDocument::CollectSubtree(xml::NodeId root) const {
   XEE_CHECK(!detached(root));
   std::vector<xml::NodeId> out;
-  std::vector<xml::NodeId> stack{root};
-  while (!stack.empty()) {
-    xml::NodeId n = stack.back();
-    stack.pop_back();
-    out.push_back(n);
-    const std::vector<xml::NodeId>& kids = doc_.Children(n);
-    for (size_t i = kids.size(); i-- > 0;) stack.push_back(kids[i]);
-  }
+  doc_.ForEachPreorder(root, [&out](xml::NodeId n) { out.push_back(n); });
   return out;
 }
 
@@ -110,28 +131,8 @@ void LiveDocument::DeleteSubtree(xml::NodeId root) {
 }
 
 xml::Document LiveDocument::Materialize() const {
-  xml::Document out;
-  // Pre-intern every tag so the copy reproduces the live tag-id
-  // assignment even for tags whose last element was deleted.
-  for (size_t t = 0; t < doc_.TagCount(); ++t) {
-    out.EnsureTag(doc_.TagNameOf(static_cast<xml::TagId>(t)));
-  }
-  const std::vector<xml::NodeId> order = PreorderNodes();
-  std::vector<xml::NodeId> mapped(doc_.NodeCount(), xml::kNullNode);
-  for (xml::NodeId old : order) {
-    xml::NodeId copy;
-    if (old == doc_.root()) {
-      copy = out.CreateRoot(doc_.TagName(old));
-    } else {
-      copy = out.AppendChild(mapped[doc_.Parent(old)], doc_.TagName(old));
-    }
-    mapped[old] = copy;
-    if (!doc_.Text(old).empty()) out.AppendText(copy, doc_.Text(old));
-    for (const xml::Attribute& a : doc_.Attributes(old)) {
-      out.AddAttribute(copy, a.name, a.value);
-    }
-  }
-  out.Finalize();
+  xml::Document out = doc_.CompactCopy();
+  XEE_CHECK(out.NodeCount() == live_count_);
   return out;
 }
 
@@ -144,18 +145,33 @@ void LiveDocument::Compact(xml::Document compacted) {
 }
 
 SubtreeSpec SpecFromSubtree(const LiveDocument& live, xml::NodeId root) {
-  const std::vector<xml::NodeId> sub = live.CollectSubtree(root);
-  std::vector<int32_t> spec_index(live.doc().NodeCount(), -1);
+  XEE_CHECK(!live.detached(root));
+  const xml::Document& d = live.doc();
   SubtreeSpec spec;
-  spec.tags.reserve(sub.size());
-  spec.parent.reserve(sub.size());
-  for (size_t k = 0; k < sub.size(); ++k) {
-    spec_index[sub[k]] = static_cast<int32_t>(k);
-    spec.tags.push_back(live.doc().TagName(sub[k]));
-    spec.parent.push_back(k == 0 ? -1
-                                 : spec_index[live.doc().Parent(sub[k])]);
-  }
+  // Spec index of the node whose subtree is open: the parent of the
+  // next node entered.
+  std::vector<int32_t> open;
+  d.Walk(
+      root,
+      [&](xml::NodeId n) {
+        spec.parent.push_back(open.empty() ? -1 : open.back());
+        open.push_back(static_cast<int32_t>(spec.tags.size()));
+        spec.tags.push_back(d.TagName(n));
+      },
+      [&](xml::NodeId) { open.pop_back(); });
   return spec;
+}
+
+DeltaOp CloneSubtreeOp(const LiveDocument& live, uint32_t rank) {
+  XEE_CHECK(rank > 0 && rank < live.live_nodes());
+  const uint32_t ranks[] = {rank};
+  std::vector<uint32_t> parent_rank;
+  const xml::NodeId node = live.NodesAtRanks(ranks, &parent_rank)[0];
+  DeltaOp op;
+  op.kind = DeltaOp::Kind::kInsert;
+  op.target = parent_rank[0];
+  op.subtree = SpecFromSubtree(live, node);
+  return op;
 }
 
 }  // namespace xee::delta

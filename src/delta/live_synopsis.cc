@@ -8,6 +8,15 @@
 #include "stats/pathid_frequency.h"
 
 namespace xee::delta {
+namespace {
+
+/// `n`'s children, copied off the sibling links (an order group).
+std::vector<xml::NodeId> ChildList(const xml::Document& d, xml::NodeId n) {
+  const xml::Document::ChildRange kids = d.Children(n);
+  return std::vector<xml::NodeId>(kids.begin(), kids.end());
+}
+
+}  // namespace
 
 LiveSynopsis::LiveSynopsis(std::shared_ptr<const estimator::Synopsis> base,
                            LiveDocument* doc, PatchOptions options)
@@ -89,7 +98,7 @@ void LiveSynopsis::MarkDirty(xml::TagId tag) {
 }
 
 void LiveSynopsis::MarkGroupOrderDirty(
-    const std::vector<xml::NodeId>& group) {
+    std::span<const xml::NodeId> group) {
   if (!maintain_order_ || group.size() < 2) return;
   const xml::Document& d = doc_->doc();
   for (xml::NodeId n : group) {
@@ -131,7 +140,8 @@ Result<ApplyResult> LiveSynopsis::Apply(const DocumentDelta& delta) {
 
 void LiveSynopsis::ApplyInsert(xml::NodeId parent, const SubtreeSpec& spec,
                                ApplyResult* res, double* charged) {
-  const std::vector<xml::NodeId> before = doc_->doc().Children(parent);
+  std::vector<xml::NodeId> before;
+  if (maintain_order_) before = ChildList(doc_->doc(), parent);
   const std::vector<xml::NodeId> ids = doc_->InsertSubtree(parent, spec);
   const xml::Document& d = doc_->doc();
   node_refs_.resize(d.NodeCount(), 0);
@@ -152,8 +162,7 @@ void LiveSynopsis::ApplyInsert(xml::NodeId parent, const SubtreeSpec& spec,
     bits.assign(ids.size(), PathIdBits(width));
     for (size_t k = ids.size(); k-- > 0;) {
       const xml::NodeId id = ids[k];
-      const std::vector<xml::NodeId>& kids = d.Children(id);
-      if (kids.empty()) {
+      if (d.FirstChild(id) == xml::kNullNode) {
         encoding::TagPath path;
         for (xml::NodeId p = id; p != xml::kNullNode; p = d.Parent(p)) {
           path.push_back(d.Tag(p));
@@ -166,7 +175,7 @@ void LiveSynopsis::ApplyInsert(xml::NodeId parent, const SubtreeSpec& spec,
         }
         bits[k].Set(enc);
       } else {
-        for (xml::NodeId c : kids) bits[k].OrWith(bits[c - ids[0]]);
+        for (xml::NodeId c : d.Children(id)) bits[k].OrWith(bits[c - ids[0]]);
       }
     }
     if (structure_ok &&
@@ -211,12 +220,14 @@ void LiveSynopsis::ApplyInsert(xml::NodeId parent, const SubtreeSpec& spec,
 
   if (maintain_order_) {
     order_.ApplyGroup(d, before, node_refs_, false);
-    order_.ApplyGroup(d, d.Children(parent), node_refs_, true);
-    MarkGroupOrderDirty(d.Children(parent));
+    const std::vector<xml::NodeId> after = ChildList(d, parent);
+    order_.ApplyGroup(d, after, node_refs_, true);
+    MarkGroupOrderDirty(after);
     for (xml::NodeId id : ids) {
-      if (d.Children(id).size() >= 2) {
-        order_.ApplyGroup(d, d.Children(id), node_refs_, true);
-        MarkGroupOrderDirty(d.Children(id));
+      if (d.ChildCount(id) >= 2) {
+        const std::vector<xml::NodeId> kids = ChildList(d, id);
+        order_.ApplyGroup(d, kids, node_refs_, true);
+        MarkGroupOrderDirty(kids);
       }
     }
   }
@@ -227,16 +238,17 @@ void LiveSynopsis::ApplyDelete(xml::NodeId target, ApplyResult* res,
   const xml::Document& d = doc_->doc();
   const std::vector<xml::NodeId> sub = doc_->CollectSubtree(target);
   const xml::NodeId parent = d.Parent(target);
-  const std::vector<xml::NodeId> before = d.Children(parent);
   const size_t tag_limit = rows_.size();
 
   if (maintain_order_) {
     for (xml::NodeId n : sub) {
-      if (d.Children(n).size() >= 2) {
-        order_.ApplyGroup(d, d.Children(n), node_refs_, false);
-        MarkGroupOrderDirty(d.Children(n));
+      if (d.ChildCount(n) >= 2) {
+        const std::vector<xml::NodeId> kids = ChildList(d, n);
+        order_.ApplyGroup(d, kids, node_refs_, false);
+        MarkGroupOrderDirty(kids);
       }
     }
+    const std::vector<xml::NodeId> before = ChildList(d, parent);
     order_.ApplyGroup(d, before, node_refs_, false);
     MarkGroupOrderDirty(before);
   }
@@ -267,7 +279,7 @@ void LiveSynopsis::ApplyDelete(xml::NodeId target, ApplyResult* res,
 
   doc_->DeleteSubtree(target);
   if (maintain_order_) {
-    order_.ApplyGroup(d, d.Children(parent), node_refs_, true);
+    order_.ApplyGroup(d, ChildList(d, parent), node_refs_, true);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -103,7 +104,7 @@ class LiveSynopsis {
   /// Marks every maintained tag of `group` as order-dirty: their
   /// o-histograms must be reconsidered even when their frequency rows
   /// did not change (a new or removed sibling shifts their order cells).
-  void MarkGroupOrderDirty(const std::vector<xml::NodeId>& group);
+  void MarkGroupOrderDirty(std::span<const xml::NodeId> group);
   std::shared_ptr<const estimator::Synopsis> BuildClone() const;
 
   std::shared_ptr<const estimator::Synopsis> base_;

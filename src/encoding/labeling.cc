@@ -12,29 +12,20 @@ Labeling LabelDocument(const xml::Document& doc) {
   const size_t n = doc.NodeCount();
 
   // Phase 1: enumerate leaves in document order, assigning encodings to
-  // distinct root-to-leaf tag paths. Iterative DFS keeping the tag path.
+  // distinct root-to-leaf tag paths. Depth-first walk keeping the tag
+  // path.
   std::vector<uint32_t> leaf_encoding(n, 0);
   {
     TagPath path;
-    // Stack of (node, next-child-index).
-    std::vector<std::pair<xml::NodeId, size_t>> stack;
-    stack.emplace_back(doc.root(), 0);
-    path.push_back(doc.Tag(doc.root()));
-    while (!stack.empty()) {
-      auto& [node, child_idx] = stack.back();
-      const auto& children = doc.Children(node);
-      if (children.empty()) {
-        leaf_encoding[node] = out.table.GetOrAssign(path);
-      }
-      if (child_idx < children.size()) {
-        xml::NodeId child = children[child_idx++];
-        stack.emplace_back(child, 0);
-        path.push_back(doc.Tag(child));
-      } else {
-        stack.pop_back();
-        path.pop_back();
-      }
-    }
+    doc.Walk(
+        doc.root(),
+        [&](xml::NodeId node) {
+          path.push_back(doc.Tag(node));
+          if (doc.FirstChild(node) == xml::kNullNode) {
+            leaf_encoding[node] = out.table.GetOrAssign(path);
+          }
+        },
+        [&](xml::NodeId) { path.pop_back(); });
   }
 
   const size_t width = out.table.PathCount();
@@ -44,7 +35,7 @@ Labeling LabelDocument(const xml::Document& doc) {
   out.node_pids.assign(n, PathIdBits(width));
   for (size_t i = n; i-- > 0;) {
     xml::NodeId node = static_cast<xml::NodeId>(i);
-    if (doc.Children(node).empty()) {
+    if (doc.FirstChild(node) == xml::kNullNode) {
       out.node_pids[i].Set(leaf_encoding[node]);
     }
     xml::NodeId parent = doc.Parent(node);

@@ -2,6 +2,7 @@
 #define XEE_EVAL_EXACT_EVALUATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -30,15 +31,16 @@ namespace xee::eval {
 /// one order constraint; queries with several constraints at one
 /// junction fall back to a per-candidate greedy check.
 ///
-/// Thread-safety: `Matches`/`Count` are const and reentrant — `by_tag_`
-/// and `all_nodes_` are immutable after construction, and all per-query
-/// working state (including the match engine's pin cache) lives on the
-/// call's own stack. The shadow-evaluation pipeline (obs/accuracy.h)
+/// Thread-safety: `Matches`/`Count` are const and reentrant — the
+/// `by_tag_` and `all_nodes_` indexes are immutable after construction,
+/// and all per-query working state (including the match engine's pin
+/// cache) lives on the call's own stack. The shadow-evaluation pipeline (obs/accuracy.h)
 /// relies on this to run one shared evaluator from every thread-pool
 /// worker concurrently.
 class ExactEvaluator {
  public:
-  /// `doc` must be finalized and must outlive the evaluator.
+  /// `doc` must be finalized and pristine (no detached subtrees), and
+  /// must outlive the evaluator.
   explicit ExactEvaluator(const xml::Document& doc);
 
   /// Distinct elements bound to `q.target`, in document order.
@@ -47,10 +49,20 @@ class ExactEvaluator {
   /// |Matches(q)|.
   Result<uint64_t> Count(const xpath::Query& q) const;
 
+  /// Every element, in document order.
+  std::span<const xml::NodeId> AllElements() const { return all_nodes_; }
+  /// The elements with tag `t`, in document order.
+  std::span<const xml::NodeId> ElementsWithTag(xml::TagId t) const {
+    return std::span<const xml::NodeId>(by_tag_).subspan(
+        tag_begin_[t], tag_begin_[t + 1] - tag_begin_[t]);
+  }
+
  private:
   const xml::Document& doc_;
-  /// Elements per tag, sorted by pre-order position.
-  std::vector<std::vector<xml::NodeId>> by_tag_;
+  /// Elements grouped by tag, each group sorted by pre-order position:
+  /// tag t's elements are by_tag_[tag_begin_[t], tag_begin_[t + 1]).
+  std::vector<xml::NodeId> by_tag_;
+  std::vector<uint32_t> tag_begin_;
   /// All elements, sorted by pre-order (source for "*" name tests).
   std::vector<xml::NodeId> all_nodes_;
 };

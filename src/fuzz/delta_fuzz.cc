@@ -12,27 +12,13 @@
 #include "delta/live_synopsis.h"
 #include "estimator/estimator.h"
 #include "estimator/synopsis.h"
+#include "fuzz/delta_gen.h"
 #include "fuzz/fuzz.h"
 #include "xml/tree.h"
 #include "xpath/parser.h"
 #include "xpath/query.h"
 
 namespace xee::fuzz {
-namespace {
-
-Finding DeltaFinding(const char* oracle, std::string detail,
-                     std::string input) {
-  Finding f;
-  f.generator = "delta";
-  f.oracle = oracle;
-  f.detail = std::move(detail);
-  f.input = std::move(input);
-  return f;
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 /// A small random document whose tag alphabet is partitioned by depth
 /// (level-1 tags never appear at level 2, and so on), so every document
@@ -42,7 +28,7 @@ bool SameBits(double a, double b) {
 /// on: with zero charged patch error the incremental synopsis must be
 /// bit-identical to a scratch rebuild, with charged error the estimate
 /// gap must stay inside the accounted bound.
-xml::Document RandomDocument(Rng& rng) {
+xml::Document RandomDeltaDocument(Rng& rng) {
   static const char* const kL1[] = {"A", "G"};
   static const char* const kL2[] = {"B", "C"};
   static const char* const kL3[] = {"D", "E", "F"};
@@ -66,26 +52,6 @@ xml::Document RandomDocument(Rng& rng) {
   return doc;
 }
 
-/// The canonical exactly-patchable op: clone the subtree at live
-/// preorder rank `rank` under its own parent (mirrors
-/// MaintenanceManager::CloneOp, but straight off the LiveDocument).
-delta::DeltaOp MakeCloneOp(const delta::LiveDocument& live, uint32_t rank) {
-  const std::vector<xml::NodeId> by_rank = live.PreorderNodes();
-  XEE_CHECK(rank > 0 && rank < by_rank.size());
-  const xml::NodeId node = by_rank[rank];
-  const xml::NodeId parent = live.doc().Parent(node);
-  delta::DeltaOp op;
-  op.kind = delta::DeltaOp::Kind::kInsert;
-  for (size_t i = 0; i < by_rank.size(); ++i) {
-    if (by_rank[i] == parent) {
-      op.target = static_cast<uint32_t>(i);
-      break;
-    }
-  }
-  op.subtree = delta::SpecFromSubtree(live, node);
-  return op;
-}
-
 /// A chain of 1..3 never-seen tags under a random live node — the
 /// not-exactly-patchable case that must charge the error budget.
 delta::DeltaOp MakeNovelOp(Rng& rng, size_t live_nodes,
@@ -107,6 +73,34 @@ delta::DeltaOp MakeDeleteOp(Rng& rng, size_t live_nodes) {
   op.kind = delta::DeltaOp::Kind::kDelete;
   op.target = static_cast<uint32_t>(rng.UniformInt(1, live_nodes - 1));
   return op;
+}
+
+delta::DeltaOp MakeMixedOp(Rng& rng, const delta::LiveDocument& live,
+                           uint64_t* novel_counter) {
+  const double r = rng.UniformDouble();
+  const size_t nodes = live.live_nodes();
+  if (r < 0.5 && nodes >= 2) {
+    return delta::CloneSubtreeOp(
+        live, static_cast<uint32_t>(rng.UniformInt(1, nodes - 1)));
+  }
+  if (r < 0.8 || nodes < 4) return MakeNovelOp(rng, nodes, novel_counter);
+  return MakeDeleteOp(rng, nodes);
+}
+
+namespace {
+
+Finding DeltaFinding(const char* oracle, std::string detail,
+                     std::string input) {
+  Finding f;
+  f.generator = "delta";
+  f.oracle = oracle;
+  f.detail = std::move(detail);
+  f.input = std::move(input);
+  return f;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 std::string OpLogEntry(const delta::DeltaOp& op) {
@@ -308,13 +302,13 @@ Report Harness::RunDeltaFuzz(const FuzzOptions& options) const {
     {
       delta::PatchOptions patch;
       patch.error_budget = 1e9;  // exactness must not depend on the budget
-      LiveBed bed(RandomDocument(it), patch);
+      LiveBed bed(RandomDeltaDocument(it), patch);
       const size_t batches = it.UniformInt(1, 3);
       for (size_t b = 0; b < batches; ++b) {
         delta::DocumentDelta batch;
         const size_t n = it.UniformInt(1, 2);
         for (size_t o = 0; o < n; ++o) {
-          batch.ops.push_back(MakeCloneOp(
+          batch.ops.push_back(delta::CloneSubtreeOp(
               *bed.live,
               static_cast<uint32_t>(it.UniformInt(1, bed.live->live_nodes() - 1))));
         }
@@ -343,23 +337,14 @@ Report Harness::RunDeltaFuzz(const FuzzOptions& options) const {
       patch.error_budget = 0.5;
       patch.histo_patch_tolerance = it.Bernoulli(0.5) ? 0.0 : 0.25;
       patch.build.build_values = !it.Bernoulli(0.25);
-      LiveBed bed(RandomDocument(it), patch);
+      LiveBed bed(RandomDeltaDocument(it), patch);
       const size_t batches = it.UniformInt(2, 3);
       bool live_ok = true;
       for (size_t b = 0; b < batches && live_ok; ++b) {
         delta::DocumentDelta batch;
         const size_t n = it.UniformInt(1, 3);
         for (size_t o = 0; o < n; ++o) {
-          const double r = it.UniformDouble();
-          const size_t nodes = bed.live->live_nodes();
-          if (r < 0.5 && nodes >= 2) {
-            batch.ops.push_back(MakeCloneOp(
-                *bed.live, static_cast<uint32_t>(it.UniformInt(1, nodes - 1))));
-          } else if (r < 0.8 || nodes < 4) {
-            batch.ops.push_back(MakeNovelOp(it, nodes, &novel_counter));
-          } else {
-            batch.ops.push_back(MakeDeleteOp(it, nodes));
-          }
+          batch.ops.push_back(MakeMixedOp(it, *bed.live, &novel_counter));
         }
         live_ok = apply(bed, std::move(batch), "B");
         if (live_ok) check_against_scratch(bed, "B");
@@ -390,7 +375,7 @@ Report Harness::RunDeltaFuzz(const FuzzOptions& options) const {
                         bed.op_log.c_str())));
         }
         delta::DocumentDelta batch;
-        batch.ops.push_back(MakeCloneOp(
+        batch.ops.push_back(delta::CloneSubtreeOp(
             *bed.live,
             static_cast<uint32_t>(it.UniformInt(1, bed.live->live_nodes() - 1))));
         if (apply(bed, std::move(batch), "C")) {
@@ -403,7 +388,7 @@ Report Harness::RunDeltaFuzz(const FuzzOptions& options) const {
         const uint64_t seq_before = bed.live->seq();
         const size_t nodes_before = bed.live->live_nodes();
         delta::DocumentDelta torn;
-        torn.ops.push_back(MakeCloneOp(
+        torn.ops.push_back(delta::CloneSubtreeOp(
             *bed.live,
             static_cast<uint32_t>(it.UniformInt(1, bed.live->live_nodes() - 1))));
         {

@@ -35,7 +35,6 @@ MarkovEstimator MarkovEstimator::Build(const xml::Document& doc,
   // DFS maintaining the ancestor tag stack; at each node count every
   // suffix window of length 1..k ending here.
   std::vector<xml::TagId> tag_stack;
-  std::vector<std::pair<xml::NodeId, size_t>> stack;
   auto enter = [&](xml::NodeId n) {
     tag_stack.push_back(doc.Tag(n));
     const size_t max_len = std::min(e.k_, tag_stack.size());
@@ -45,20 +44,7 @@ MarkovEstimator MarkovEstimator::Build(const xml::Document& doc,
       e.grams_[Key(window)]++;
     }
   };
-  enter(doc.root());
-  stack.emplace_back(doc.root(), 0);
-  while (!stack.empty()) {
-    auto& [node, child_idx] = stack.back();
-    const auto& children = doc.Children(node);
-    if (child_idx < children.size()) {
-      xml::NodeId child = children[child_idx++];
-      enter(child);
-      stack.emplace_back(child, 0);
-    } else {
-      tag_stack.pop_back();
-      stack.pop_back();
-    }
-  }
+  doc.Walk(doc.root(), enter, [&](xml::NodeId) { tag_stack.pop_back(); });
   return e;
 }
 

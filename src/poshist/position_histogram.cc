@@ -34,21 +34,9 @@ PositionHistogramEstimator PositionHistogramEstimator::Build(
   std::vector<uint32_t> start(doc.NodeCount()), end(doc.NodeCount());
   {
     uint32_t counter = 0;
-    std::vector<std::pair<xml::NodeId, size_t>> stack;
-    start[doc.root()] = counter++;
-    stack.emplace_back(doc.root(), 0);
-    while (!stack.empty()) {
-      auto& [node, child_idx] = stack.back();
-      const auto& children = doc.Children(node);
-      if (child_idx < children.size()) {
-        xml::NodeId child = children[child_idx++];
-        start[child] = counter++;
-        stack.emplace_back(child, 0);
-      } else {
-        end[node] = counter++;
-        stack.pop_back();
-      }
-    }
+    doc.Walk(
+        doc.root(), [&](xml::NodeId node) { start[node] = counter++; },
+        [&](xml::NodeId node) { end[node] = counter++; });
   }
 
   const double width = static_cast<double>(2 * doc.NodeCount()) /

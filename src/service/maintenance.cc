@@ -88,10 +88,13 @@ MaintenanceManager::Entry* MaintenanceManager::Find(
 
 uint64_t MaintenanceManager::Publish(
     const std::string& name, Entry* entry,
-    std::shared_ptr<const estimator::Synopsis> synopsis) {
+    std::shared_ptr<const estimator::Synopsis> synopsis,
+    const xml::Document* materialized) {
   std::shared_ptr<const xml::Document> truth;
   if (options_.attach_truth) {
-    truth = std::make_shared<const xml::Document>(entry->live->Materialize());
+    truth = std::make_shared<const xml::Document>(
+        materialized != nullptr ? materialized->Clone()
+                                : entry->live->Materialize());
   }
   entry->epoch = registry_->Register(name, std::move(synopsis),
                                      std::move(truth));
@@ -152,21 +155,7 @@ Result<delta::DeltaOp> MaintenanceManager::CloneOp(const std::string& name,
                   "clone rank out of range (and never 0: the root has "
                   "no parent to clone under)");
   }
-  const std::vector<xml::NodeId> by_rank = entry->live->PreorderNodes();
-  const xml::NodeId node = by_rank[rank];
-  const xml::NodeId parent = entry->live->doc().Parent(node);
-  uint32_t parent_rank = 0;
-  for (size_t i = 0; i < by_rank.size(); ++i) {
-    if (by_rank[i] == parent) {
-      parent_rank = static_cast<uint32_t>(i);
-      break;
-    }
-  }
-  delta::DeltaOp op;
-  op.kind = delta::DeltaOp::Kind::kInsert;
-  op.target = parent_rank;
-  op.subtree = delta::SpecFromSubtree(*entry->live, node);
-  return op;
+  return delta::CloneSubtreeOp(*entry->live, rank);
 }
 
 size_t MaintenanceManager::LiveNodeCount(const std::string& name) const {
@@ -266,7 +255,7 @@ void MaintenanceManager::RebuildTask(std::string name) {
     // version's plan-cache and memo namespaces), compact the live
     // arena to the shape we just built, and re-base the incremental
     // state with a fresh error budget.
-    Publish(name, entry, rebuilt);
+    Publish(name, entry, rebuilt, &source);
     entry->live->Compact(std::move(source));
     entry->synopsis->ResetToBase(std::move(rebuilt));
     entry->state = MaintenanceState::kHealthy;

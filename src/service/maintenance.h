@@ -98,8 +98,10 @@ class MaintenanceManager {
     double error_budget = 0.05;
     double histo_patch_tolerance = 0.0;
     /// Attach a materialized ground-truth document to every published
-    /// snapshot, keeping the PR 5 shadow pipeline auditing the patched
-    /// estimates. Costs one document copy per publish.
+    /// snapshot, keeping the shadow pipeline (DESIGN.md §11) auditing
+    /// the patched estimates. Costs one compact document copy plus its
+    /// exact-evaluator index per publish, built synchronously on the
+    /// publishing thread (DESIGN.md §14 has the measured cost).
     bool attach_truth = true;
     /// Rebuild attempts beyond the first before the rebuild is
     /// abandoned.
@@ -184,9 +186,12 @@ class MaintenanceManager {
 
   Entry* Find(const std::string& name) const;
   /// Publishes (synopsis, truth) for `entry` under the registry swap
-  /// and records the new epoch. Caller holds entry->mu.
+  /// and records the new epoch. The truth is a Clone of `materialized`
+  /// when the caller already holds a materialized copy of the current
+  /// shape, else a fresh Materialize(). Caller holds entry->mu.
   uint64_t Publish(const std::string& name, Entry* entry,
-                   std::shared_ptr<const estimator::Synopsis> synopsis);
+                   std::shared_ptr<const estimator::Synopsis> synopsis,
+                   const xml::Document* materialized = nullptr);
   void RebuildTask(std::string name);
 
   SynopsisRegistry* registry_;

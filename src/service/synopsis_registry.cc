@@ -39,9 +39,13 @@ uint64_t SynopsisRegistry::Register(
   if (document != nullptr) {
     truth = std::make_shared<const GroundTruth>(std::move(document));
   }
+  // The replaced version is released after the lock: tearing down a
+  // synopsis and its truth must not stall every reader's Snapshot().
+  SynopsisSnapshot old;
   std::lock_guard<std::mutex> lock(mu_);
   quarantine_.erase(name);
   SynopsisSnapshot& slot = map_[name];
+  old = std::move(slot);
   slot.synopsis = std::move(synopsis);
   slot.epoch = next_epoch_++;
   slot.order_quarantined = false;
@@ -56,10 +60,11 @@ bool SynopsisRegistry::AttachDocument(
   if (document != nullptr) {
     truth = std::make_shared<const GroundTruth>(std::move(document));
   }
+  std::shared_ptr<const GroundTruth> old;  // released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(name);
   if (it == map_.end()) return false;
-  it->second.truth = std::move(truth);
+  old = std::exchange(it->second.truth, std::move(truth));
   return true;
 }
 
@@ -135,13 +140,20 @@ LoadOutcome SynopsisRegistry::RegisterSerialized(const std::string& name,
       estimator::Synopsis::Deserialize(bytes, opts, &report);
 
   LoadOutcome out;
+  // Declared before the lock guards, so the replaced version is torn
+  // down after they unlock.
+  SynopsisSnapshot old;
   if (!syn.ok()) {
     out.status = syn.status();
     std::lock_guard<std::mutex> lock(mu_);
     // The old version (if any) is as suspect as the blob that was meant
     // to replace it is broken — a swap is a statement that the previous
     // data is stale. Pull the name from serving entirely.
-    map_.erase(name);
+    auto it = map_.find(name);
+    if (it != map_.end()) {
+      old = std::move(it->second);
+      map_.erase(it);
+    }
     quarantine_[name] = out.status;
     return out;
   }
@@ -151,6 +163,7 @@ LoadOutcome SynopsisRegistry::RegisterSerialized(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   quarantine_.erase(name);
   SynopsisSnapshot& slot = map_[name];
+  old = std::move(slot);
   slot.synopsis = std::move(shared);
   slot.epoch = next_epoch_++;
   slot.order_quarantined = report.order_dropped;
@@ -164,9 +177,14 @@ LoadOutcome SynopsisRegistry::RegisterSerialized(const std::string& name,
 }
 
 bool SynopsisRegistry::Remove(const std::string& name) {
+  SynopsisSnapshot old;  // released after the lock
   std::lock_guard<std::mutex> lock(mu_);
   const bool quarantined = quarantine_.erase(name) > 0;
-  return map_.erase(name) > 0 || quarantined;
+  auto it = map_.find(name);
+  if (it == map_.end()) return quarantined;
+  old = std::move(it->second);
+  map_.erase(it);
+  return true;
 }
 
 std::optional<SynopsisSnapshot> SynopsisRegistry::Snapshot(

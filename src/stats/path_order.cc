@@ -44,7 +44,7 @@ OrderStats OrderStats::Build(const xml::Document& doc,
   std::vector<uint32_t> tag_count(doc.TagCount(), 0);
   std::vector<xml::TagId> present;
 
-  auto sweep = [&](const std::vector<xml::NodeId>& children,
+  auto sweep = [&](std::span<const xml::NodeId> children,
                    OrderRegion region) {
     // kBefore: for child i, distinct tags among siblings AFTER i.
     // kAfter:  for child i, distinct tags among siblings BEFORE i.
@@ -75,9 +75,13 @@ OrderStats OrderStats::Build(const xml::Document& doc,
     for (xml::TagId t : present) tag_count[t] = 0;
   };
 
+  // One parent's children, copied off the sibling links: the kBefore
+  // sweep runs from the last child backwards.
+  std::vector<xml::NodeId> children;
   for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    const auto& children = doc.Children(n);
-    if (children.size() < 2) continue;
+    if (doc.ChildCount(n) < 2) continue;
+    const xml::Document::ChildRange kids = doc.Children(n);
+    children.assign(kids.begin(), kids.end());
     sweep(children, OrderRegion::kBefore);
     sweep(children, OrderRegion::kAfter);
   }
@@ -85,7 +89,7 @@ OrderStats OrderStats::Build(const xml::Document& doc,
 }
 
 void OrderStats::ApplyGroup(const xml::Document& doc,
-                            const std::vector<xml::NodeId>& children,
+                            std::span<const xml::NodeId> children,
                             const std::vector<encoding::PidRef>& node_refs,
                             bool add) {
   if (children.size() < 2) return;

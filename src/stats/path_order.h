@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "encoding/labeling.h"
@@ -97,7 +98,7 @@ class OrderStats {
   /// two children contribute nothing. Retraction with the same
   /// (children, refs) exactly undoes the matching application.
   void ApplyGroup(const xml::Document& doc,
-                  const std::vector<xml::NodeId>& children,
+                  std::span<const xml::NodeId> children,
                   const std::vector<encoding::PidRef>& node_refs, bool add);
 
   friend bool operator==(const OrderStats&, const OrderStats&) = default;

@@ -1,6 +1,7 @@
 #include "stats/value_stats.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 namespace xee::stats {
@@ -8,16 +9,17 @@ namespace xee::stats {
 ValueStats ValueStats::Build(const xml::Document& doc, size_t top_k) {
   ValueStats out;
   out.tags_.resize(doc.TagCount());
-  std::vector<std::unordered_map<std::string, uint64_t>> counts(
+  // Keys view the document's text pool, which outlives this call.
+  std::vector<std::unordered_map<std::string_view, uint64_t>> counts(
       doc.TagCount());
   for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
     out.tags_[doc.Tag(n)].total_elements++;
-    const std::string& text = doc.Text(n);
+    const std::string_view text = doc.Text(n);
     if (!text.empty()) counts[doc.Tag(n)][text]++;
   }
   for (size_t t = 0; t < counts.size(); ++t) {
-    std::vector<std::pair<std::string, uint64_t>> all(counts[t].begin(),
-                                                      counts[t].end());
+    std::vector<std::pair<std::string_view, uint64_t>> all(counts[t].begin(),
+                                                           counts[t].end());
     std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
       if (a.second != b.second) return a.second > b.second;
       return a.first < b.first;
@@ -25,7 +27,7 @@ ValueStats ValueStats::Build(const xml::Document& doc, size_t top_k) {
     TagValues& tv = out.tags_[t];
     for (size_t i = 0; i < all.size(); ++i) {
       if (i < top_k) {
-        tv.top.push_back(std::move(all[i]));
+        tv.top.emplace_back(std::string(all[i].first), all[i].second);
       } else {
         tv.other_count += all[i].second;
         tv.other_distinct++;

@@ -20,7 +20,7 @@ DocStats ComputeDocStats(const Document& doc) {
   s.element_count = doc.NodeCount();
   size_t non_leaf = 0, total_children = 0;
   for (NodeId n = 0; n < doc.NodeCount(); ++n) {
-    size_t fanout = doc.Children(n).size();
+    size_t fanout = doc.ChildCount(n);
     if (fanout > 0) {
       ++non_leaf;
       total_children += fanout;

@@ -39,8 +39,8 @@ void WriteNode(const Document& doc, NodeId n, const WriteOptions& options,
     EscapeInto(a.value, out);
     *out += '"';
   }
-  const auto& children = doc.Children(n);
-  const std::string& text = doc.Text(n);
+  const Document::ChildRange children = doc.Children(n);
+  const std::string_view text = doc.Text(n);
   if (children.empty() && text.empty()) {
     *out += "/>";
     if (options.pretty) *out += '\n';

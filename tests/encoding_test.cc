@@ -53,18 +53,18 @@ TEST_F(PaperLabelingTest, RootHasAllOnesPid) {
 TEST_F(PaperLabelingTest, Example21LeafAndInternalPids) {
   // First leaf D has pid p5 (1000); first C node has p3 (0011).
   // Locate nodes structurally: root -> A1 -> B1 -> D.
-  auto a1 = doc_.Children(doc_.root())[0];
-  auto b1 = doc_.Children(a1)[0];
-  auto d1 = doc_.Children(b1)[0];
+  auto a1 = doc_.FirstChild(doc_.root());
+  auto b1 = doc_.FirstChild(a1);
+  auto d1 = doc_.FirstChild(b1);
   EXPECT_EQ(lab_.node_pids[d1].ToBitString(), "1000");  // p5
 
-  auto a2 = doc_.Children(doc_.root())[1];
-  auto c2 = doc_.Children(a2)[1];
+  auto a2 = doc_.NextSibling(a1);
+  auto c2 = doc_.NextSibling(doc_.FirstChild(a2));
   EXPECT_EQ(lab_.node_pids[c2].ToBitString(), "0011");  // p3
   // A pids per Figure 1: p8, p7, p6 in document order.
   EXPECT_EQ(lab_.node_pids[a1].ToBitString(), "1100");
   EXPECT_EQ(lab_.node_pids[a2].ToBitString(), "1011");
-  auto a3 = doc_.Children(doc_.root())[2];
+  auto a3 = doc_.NextSibling(a2);
   EXPECT_EQ(lab_.node_pids[a3].ToBitString(), "1010");
 }
 

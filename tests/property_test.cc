@@ -175,7 +175,7 @@ TEST_P(RandomDocTest, LabelingInvariants) {
   encoding::Labeling lab = encoding::LabelDocument(doc);
 
   for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    const auto& children = doc.Children(n);
+    const xml::Document::ChildRange children = doc.Children(n);
     if (children.empty()) {
       EXPECT_EQ(lab.node_pids[n].PopCount(), 1u);
     } else {

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -438,6 +440,88 @@ TEST(ServiceTest, CorruptBlobQuarantinesUntilGoodVersionArrives) {
   EXPECT_FALSE(fixed.order_dropped);
   EXPECT_FALSE(svc.registry().Quarantined("paper").has_value());
   EXPECT_TRUE(svc.Estimate("paper", "//A/B").ok());
+}
+
+/// Deleters that ask the registry for its names from a helper thread
+/// while they run: a replaced version torn down under the registry
+/// lock would leave the helper blocked until the deleter returned.
+class TeardownProbe {
+ public:
+  explicit TeardownProbe(SynopsisRegistry* registry) : registry_(registry) {}
+  // Helpers are joined only here: a deleter running under the lock
+  // must not wait on a helper blocked on that lock.
+  ~TeardownProbe() {
+    for (std::thread& t : helpers_) t.join();
+  }
+
+  std::shared_ptr<const estimator::Synopsis> Synopsis() {
+    return std::shared_ptr<const estimator::Synopsis>(
+        new estimator::Synopsis(PaperSynopsis()),
+        [this](const estimator::Synopsis* s) {
+          delete s;
+          Probe();
+        });
+  }
+  std::shared_ptr<const xml::Document> Document() {
+    return std::shared_ptr<const xml::Document>(
+        new xml::Document(testing::MakePaperDocument()),
+        [this](const xml::Document* d) {
+          delete d;
+          Probe();
+        });
+  }
+
+  int probes() const { return probes_; }
+  int answered() const { return answered_; }
+
+ private:
+  void Probe() {
+    ++probes_;
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> answer = done->get_future();
+    helpers_.emplace_back([this, done] {
+      (void)registry_->Names();
+      done->set_value();
+    });
+    if (answer.wait_for(std::chrono::seconds(2)) ==
+        std::future_status::ready) {
+      ++answered_;
+    }
+  }
+
+  SynopsisRegistry* registry_;
+  std::vector<std::thread> helpers_;
+  int probes_ = 0;
+  int answered_ = 0;
+};
+
+TEST(ServiceTest, ReplacedVersionsAreTornDownOutsideTheRegistryLock) {
+  SynopsisRegistry registry;
+  TeardownProbe probe(&registry);
+  const std::string good = PaperSynopsis().Serialize();
+  std::string bad = good;
+  bad[8] = bad[9] = bad[10] = bad[11] = 0;
+
+  // Register replacing a version, and its truth document.
+  registry.Register("p", probe.Synopsis(), probe.Document());
+  registry.Register("p", PaperSynopsis());
+  EXPECT_EQ(probe.probes(), 2);
+  // AttachDocument replacing a truth.
+  registry.AttachDocument("p", probe.Document());
+  registry.AttachDocument("p", nullptr);
+  EXPECT_EQ(probe.probes(), 3);
+  // RegisterSerialized, swap branch and reject branch.
+  registry.Register("p", probe.Synopsis());
+  ASSERT_TRUE(registry.RegisterSerialized("p", good).ok());
+  EXPECT_EQ(probe.probes(), 4);
+  registry.Register("p", probe.Synopsis());
+  ASSERT_FALSE(registry.RegisterSerialized("p", bad).ok());
+  EXPECT_EQ(probe.probes(), 5);
+  // Remove.
+  registry.Register("p", probe.Synopsis());
+  EXPECT_TRUE(registry.Remove("p"));
+  EXPECT_EQ(probe.probes(), 6);
+  EXPECT_EQ(probe.answered(), probe.probes());
 }
 
 TEST(ServiceTest, CorruptOrderSectionDegradesInsteadOfDying) {

@@ -127,7 +127,7 @@ TEST(OrderStats, WideFanoutCountsDistinctTagsOnce) {
   auto tx = *doc.FindTag("x");
   auto ty = *doc.FindTag("y");
   // Both x elements occur before some y; pid of x is the same for both.
-  encoding::PidRef px = lab.node_pid_refs[doc.Children(r)[0]];
+  encoding::PidRef px = lab.node_pid_refs[doc.FirstChild(r)];
   EXPECT_EQ(s.ForTag(tx).Get(OrderRegion::kBefore, ty, px), 2u);
   // One x occurs after a y.
   EXPECT_EQ(s.ForTag(tx).Get(OrderRegion::kAfter, ty, px), 1u);
