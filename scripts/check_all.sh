@@ -2,7 +2,8 @@
 # The full pre-merge battery, in increasing order of cost:
 #
 #   1. tier-1 build + ctest (unit, accuracy, smoke, live, intel, flight
-#      labels — includes the formula-tail differential suites, the live-
+#      labels — includes the answer-cache differential suite
+#      (estimate_opt_diff_test: served bits == Estimator::Estimate), the live-
 #      document maintenance suite, the flight-data observability suite
 #      (time-series store, SLO burn-rate engine, flight recorder,
 #      tail-based trace retention), and the query-intelligence suite:
@@ -19,11 +20,12 @@
 # ctest entries (label `smoke`; simulate_smoke runs every scenario
 # family — live_update_churn and the intel_alias_storm on/off pair
 # included — time-scaled and fails on any drain-invariant violation),
-# and the fuzz/chaos/prune smokes plus the live maintenance and
-# analyzer tests run again under ASan in step 4; the TSan slice also
+# and the fuzz/chaos/prune smokes plus the live maintenance, analyzer
+# and answer-cache differential tests run again under ASan in step 4;
+# the TSan slice (which carries the differential suite too) also
 # drives simulator scenarios in concurrent mode: the live-churn
 # scenario with rebuilds racing traffic, and the analyzer alias storm
-# with shared pruned/rewritten plans probed across a worker pool. Run from the
+# with shared pruned/rewritten answers probed across a worker pool. Run from the
 # repository root:
 #
 #   scripts/check_all.sh            # everything

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "common/fault.h"
 #include "encoding/containment.h"
 #include "obs/metrics.h"
 #include "stats/path_order.h"
@@ -45,9 +44,9 @@ Status DeadlineError(const char* when) {
                 std::string("deadline expired ") + when);
 }
 
-/// True iff the plan needs the general path (order constraints or value
-/// predicates restructure the computation before the top-level join
-/// matters).
+/// True iff the query needs the general path: order constraints or value
+/// predicates restructure the computation into overlapping subqueries
+/// whose joins repeat (the per-call JoinMemo's case).
 bool NeedsGeneralPath(const Query& q) {
   bool general = !q.orders.empty();
   for (const auto& n : q.nodes) general |= n.value_filter.has_value();
@@ -102,6 +101,8 @@ Result<double> Estimator::Estimate(const Query& query,
                                    const EstimateLimits& limits) const {
   RunCtx ctx{limits.deadline};
   if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
+  JoinMemo memo;
+  if (NeedsGeneralPath(query)) ctx.join_memo = &memo;
   Result<double> r = EstimateImpl(query, &ctx);
   FlushCounters(ctx, limits);
   // Partial values computed under an expired deadline are garbage; the
@@ -229,115 +230,6 @@ Result<double> Estimator::EstimateImpl(const Query& query, RunCtx* ctx) const {
     return EstimateSiblingOrder(query, ctx);
   }
   return EstimateDocOrder(query, ctx);
-}
-
-size_t Estimator::Compiled::ApproxBytes() const {
-  size_t b = sizeof(Compiled);
-  for (const auto& n : query.nodes) {
-    b += n.tag.capacity() + n.children.capacity() * sizeof(int) +
-         sizeof(xpath::QueryNode);
-    if (n.value_filter.has_value()) b += n.value_filter->capacity();
-  }
-  b += query.orders.capacity() * sizeof(xpath::OrderConstraint);
-  b += tags.capacity() * sizeof(xml::TagId);
-  for (const CandList& l : join) {
-    b += sizeof(CandList) + l.capacity() * sizeof(Cand);
-  }
-  if (consts.has_value()) {
-    b += sizeof(FormulaConsts) +
-         consts->node_selectivity.capacity() * sizeof(double);
-  }
-  return b;
-}
-
-Result<Estimator::Compiled> Estimator::Compile(
-    const Query& query, const EstimateLimits& limits) const {
-  if (FaultFires(kAllocFaultSite)) {
-    return Status(StatusCode::kInternal, "injected allocation failure");
-  }
-  Status s = query.Validate();
-  if (!s.ok()) return s;
-  RunCtx ctx{limits.deadline};
-  if (ctx.CheckCoarse()) return DeadlineError("before compilation began");
-  Compiled plan;
-  plan.query = query;
-  if (!ResolveTags(plan.query, &plan.tags)) {
-    plan.tags.clear();
-    plan.zero = true;
-    return plan;
-  }
-  if (!PathJoin(plan.query, plan.tags, &plan.join, &ctx)) plan.zero = true;
-  if (!ctx.expired) PrecomputeConsts(&plan, &ctx);
-  FlushCounters(ctx, limits);
-  if (ctx.expired) return DeadlineError("during the path join");
-  return plan;
-}
-
-void Estimator::PrecomputeConsts(Compiled* plan, RunCtx* ctx) const {
-  const Query& q = plan->query;
-  JoinMemo memo;
-  // Seed the memo with the top-level join Compile already ran (general
-  // queries re-join the full structure inside EstimateImpl; this makes
-  // that a lookup). An unknown-tag zero never ran the join, so only seed
-  // when tags resolved.
-  if (!plan->tags.empty()) {
-    memo.by_structure.emplace(JoinStructureKey(q),
-                              JoinMemo::Entry{!plan->zero, plan->join});
-  }
-
-  // A fresh ctx, same deadline: an expiry mid-walk must not convert the
-  // already-successful compile into a deadline error — the plan simply
-  // ships without constants and requests take the legacy path.
-  RunCtx pctx{ctx->deadline};
-  pctx.join_memo = &memo;
-  FormulaConsts fc;
-  bool store = true;
-  if (NeedsGeneralPath(q)) {
-    Result<double> r = EstimateImpl(q, &pctx);
-    fc.estimate = std::move(r);
-  } else if (plan->zero) {
-    fc.estimate = 0.0;
-  } else {
-    // Flat per-node arena; the request-time answer is the target's cell.
-    fc.node_selectivity.resize(q.nodes.size(), 0.0);
-    for (size_t i = 0; i < q.nodes.size(); ++i) {
-      fc.node_selectivity[i] = NodeSelectivity(q, plan->tags, plan->join,
-                                               static_cast<int>(i), &pctx);
-    }
-    fc.estimate = fc.node_selectivity[q.target];
-  }
-  if (pctx.expired) store = false;
-  ctx->containment_tests += pctx.containment_tests;
-  ctx->join_probes += pctx.join_probes;
-  ctx->fixpoint_rounds += pctx.fixpoint_rounds;
-  if (store) plan->consts = std::move(fc);
-}
-
-Result<double> Estimator::EstimateCompiled(const Compiled& plan,
-                                           const EstimateLimits& limits) const {
-  const Query& q = plan.query;
-  // The fast-path promise of a deadline: an expired request costs one
-  // clock read here, never a join.
-  RunCtx ctx{limits.deadline};
-  if (ctx.CheckCoarse()) return DeadlineError("before estimation began");
-  // Constants present: the whole formula walk already ran at compile
-  // time against the same frozen synopsis; the answer is a load.
-  if (plan.consts.has_value()) return plan.consts->estimate;
-  // Order constraints and value predicates restructure the computation
-  // (truncated subqueries, rewrites, scaling) before the top-level join
-  // matters; route them through the general path. Estimate() revalidates
-  // the stored AST, which is cheap next to the joins it runs.
-  if (NeedsGeneralPath(q)) {
-    Result<double> r = EstimateImpl(q, &ctx);
-    FlushCounters(ctx, limits);
-    if (ctx.expired) return DeadlineError("during estimation");
-    return r;
-  }
-  if (plan.zero) return 0.0;
-  const double sel = NodeSelectivity(q, plan.tags, plan.join, q.target, &ctx);
-  FlushCounters(ctx, limits);
-  if (ctx.expired) return DeadlineError("during estimation");
-  return sel;
 }
 
 bool Estimator::ResolveTags(const Query& q,

@@ -26,9 +26,8 @@ namespace xee::fuzz {
 ///       tag alphabet                    (run under XEE_SANITIZE builds)
 ///   (b) byte/structure mutants of   metamorphic equivalence, bitwise:
 ///       serialized synopses             Estimate(q) == Estimate(canon(q)),
-///   (c) malformed-XML mutants of        Compile+EstimateCompiled ==
-///       datagen output                  Estimate, Deserialize/Serialize
-///                                       byte-identity, Write/Parse
+///   (c) malformed-XML mutants of        Deserialize/Serialize
+///       datagen output                  byte-identity, Write/Parse
 ///                                       idempotence
 ///                                   paper-semantics monotonicity vs
 ///                                       eval/ExactEvaluator on small
@@ -37,7 +36,7 @@ namespace xee::fuzz {
 ///                                       constraints shrink)
 ///
 /// The service layer rides along: EstimateBatch is fuzzed through the
-/// plan cache and must match the bare estimator bit-for-bit, cold and
+/// answer cache and must match the bare estimator bit-for-bit, cold and
 /// warm. Every find becomes a corpus entry under tests/corpus/, replayed
 /// as a regression test by fuzz_test.
 

@@ -32,12 +32,11 @@ namespace xee::obs {
 enum class Stage : uint8_t {
   kParse = 0,       ///< XPath string -> AST
   kCanonicalize,    ///< AST -> canonical form + cache key
-  kCacheLookup,     ///< plan-cache probes (exact + canonical + degraded)
+  kCacheLookup,     ///< answer-cache probes (exact + canonical + degraded)
   kSnapshot,        ///< synopsis registry snapshot acquire
-  kJoin,            ///< path join (Estimator::Compile)
-  kFormula,         ///< estimation formulas (EstimateCompiled)
+  kEstimate,        ///< path join + formulas on a miss (Estimator::Estimate)
 };
-inline constexpr size_t kStageCount = 6;
+inline constexpr size_t kStageCount = 5;
 
 constexpr std::string_view StageName(Stage s) {
   switch (s) {
@@ -49,10 +48,8 @@ constexpr std::string_view StageName(Stage s) {
       return "cache_lookup";
     case Stage::kSnapshot:
       return "snapshot";
-    case Stage::kJoin:
-      return "join";
-    case Stage::kFormula:
-      return "formula";
+    case Stage::kEstimate:
+      return "estimate";
   }
   return "?";
 }

@@ -57,7 +57,7 @@ obs::AccuracyOptions MakeAccuracyOptions(const ServiceOptions& o) {
 uint64_t FlightOutcomeCode(std::string_view label) {
   if (label == "exact-hit") return 1;
   if (label == "canonical-hit") return 2;
-  if (label == "memo-hit") return 3;
+  // 3 is retired ("memo-hit"); codes are never reused.
   if (label == "miss") return 4;
   if (label == "pruned") return 5;
   if (label == "deadline") return 6;
@@ -152,9 +152,6 @@ TenantTable::Slots* TenantTable::MakeSlots(const std::string& label_name,
   registry_->RegisterDerivedCounter("tenant.plan_hits", label, [raw] {
     return raw->Sum(&Lane::plan_hits);
   });
-  registry_->RegisterDerivedCounter("tenant.memo_hits", label, [raw] {
-    return raw->Sum(&Lane::memo_hits);
-  });
   s->request_ns = &registry_->GetHistogram("tenant.request_ns", label);
   if (flight != nullptr) s->flight_id = flight->Intern(label_name);
   return s.release();
@@ -240,8 +237,6 @@ EstimationService::EstimationService(ServiceOptions options)
     : options_(options),
       cache_(options.plan_cache_bytes,
              options.cache_shards < 1 ? 1 : options.cache_shards),
-      memo_(options.estimate_memo_bytes,
-            options.cache_shards < 1 ? 1 : options.cache_shards),
       stats_(&obs_),
       traces_(options.trace_capacity < 1 ? 1 : options.trace_capacity,
               options.slow_trace_ns),
@@ -266,7 +261,6 @@ EstimationService::EstimationService(ServiceOptions options)
     timeseries_->WatchCounterPrefix("service.shed");
     timeseries_->WatchCounterPrefix("service.trace.tail");
     timeseries_->WatchCounterPrefix("service.plan_cache");
-    timeseries_->WatchCounterPrefix("service.estimate_memo");
     timeseries_->WatchCounterPrefix("tenant.");
     timeseries_->WatchCounterPrefix("slo.alert");
     timeseries_->WatchGauge("service.inflight");
@@ -341,6 +335,17 @@ std::string EstimationService::MakeKey(char kind, uint64_t epoch,
   key.push_back(':');
   key += body;
   return key;
+}
+
+void EstimationService::Put(const std::string& key,
+                            std::shared_ptr<const Answer> answer) {
+  // Key plus answer (an error's message lives on the heap), plus the
+  // LRU's list and map nodes, which hold a second copy of the key.
+  constexpr size_t kEntryOverhead = 96;
+  const size_t bytes =
+      2 * key.size() + sizeof(Answer) + kEntryOverhead +
+      (answer->estimate.ok() ? 0 : answer->estimate.status().message().size());
+  cache_.Put(key, std::move(answer), bytes);
 }
 
 size_t EstimationService::TryAdmit(size_t want) {
@@ -518,12 +523,12 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     const estimator::EstimateLimits limits{req.deadline, &spans};
 
     // Exact-string probe: a warm repeat of the very same request text
-    // skips the parse as well as the join. Degraded plans only satisfy
-    // requests that accept degraded answers.
+    // skips the parse as well as the estimate. Degraded answers only
+    // satisfy requests that accept degraded answers.
     const std::string stripped = xpath::StripWhitespace(req.xpath);
     const std::string exact_key = MakeKey('x', snap->epoch, stripped);
     {
-      std::shared_ptr<const CachedPlan> hit;
+      std::shared_ptr<const Answer> hit;
       {
         obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
                                 stats_.StageHist(Stage::kCacheLookup), timed);
@@ -560,13 +565,13 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       obs::ScopedStageTimer t(&spans, Stage::kCanonicalize,
                               stats_.StageHist(Stage::kCanonicalize), timed);
       canonical = xpath::Canonicalize(parsed.value());
-      // Static analysis (DESIGN.md §15) on the cache-miss path, inside
-      // the canonicalize stage (it is part of producing the plan key).
-      // A prune-safe unsatisfiability proof answers 0 below without a
-      // join; otherwise the estimator-invariant rewrites run, so alias
-      // spellings serialize to one shared plan key. The prune gate
-      // requires the estimator to have answered exactly 0.0 itself —
-      // wildcard-order and missing-order-statistics shapes keep their
+      // Static analysis (DESIGN.md §15) on the exact-key miss path,
+      // inside the canonicalize stage (it is part of producing the
+      // cache key). A prune-safe unsatisfiability proof answers 0 below
+      // without an estimate; otherwise the estimator-invariant rewrites
+      // run, so alias spellings serialize to one shared key. The prune
+      // gate requires the estimator to have answered exactly 0.0 itself
+      // — wildcard-order and missing-order-statistics shapes keep their
       // kUnsupported / degraded surface, bit-for-bit.
       if (options_.enable_analyzer) {
         stats_.analyzer_checked.Inc();
@@ -584,58 +589,24 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       body = xpath::SerializeKey(canonical);
     }
 
-    // Pruned fast path: serve 0 and cache a synthetic zero plan under
-    // the epoch-scoped keys (a synopsis swap re-validates the verdict).
-    // Runs before the memo probe and never inserts into the memo — the
-    // memo stores bare numbers and would drop the pruned label.
+    // Pruned fast path: serve 0 and cache it under the exact string
+    // (epoch-scoped, so a synopsis swap re-validates the verdict). No
+    // canonical entry: every other spelling reaches the analyzer before
+    // the canonical probe and is pruned there.
     if (prune_now) {
       outcome_label = "pruned";
       stats_.analyzer_pruned.Inc();
-      const std::string canonical_key = MakeKey('c', snap->epoch, body);
-      std::shared_ptr<const CachedPlan> plan;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        plan = cache_.Get(canonical_key);
-      }
-      if (!plan) {
-        estimator::Estimator::Compiled zero;
-        zero.query = canonical;
-        zero.zero = true;
-        zero.consts.emplace();  // estimate defaults to exactly 0.0
-        plan = std::make_shared<const CachedPlan>(
-            CachedPlan{std::move(zero), Result<double>{0.0},
-                       /*degraded=*/false, /*pruned=*/true});
-        cache_.PutCanonical(canonical_key, plan);
-      }
-      cache_.PutAlias(exact_key, std::move(plan));
+      Put(exact_key,
+          std::make_shared<const Answer>(Answer{
+              Result<double>{0.0}, /*degraded=*/false, /*pruned=*/true}));
       out.estimate = Result<double>{0.0};
       out.pruned = true;
       return out;
     }
-    // Estimate-memo probe: the finished number under (canonical hash,
-    // epoch). Entries are ~100 bytes, so they outlive evicted plans —
-    // this rung turns a plan-cache eviction into one probe instead of a
-    // recompile. Timed under cache-lookup: it is one.
-    if (memo_.enabled()) {
-      std::optional<Result<double>> m;
-      {
-        obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                stats_.StageHist(Stage::kCacheLookup), timed);
-        m = memo_.Lookup('c', snap->epoch, body);
-      }
-      if (m.has_value()) {
-        outcome_label = "memo-hit";
-        stats_.memo_hits.Inc();
-        out.estimate = std::move(*m);
-        return out;
-      }
-      stats_.memo_misses.Inc();
-    }
 
     const std::string canonical_key = MakeKey('c', snap->epoch, body);
     {
-      std::shared_ptr<const CachedPlan> hit;
+      std::shared_ptr<const Answer> hit;
       {
         obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
                                 stats_.StageHist(Stage::kCacheLookup), timed);
@@ -644,16 +615,29 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       if (hit) {
         outcome_label = "canonical-hit";
         stats_.canonical_hits.Inc();
-        if (hit->pruned) stats_.analyzer_pruned.Inc();
-        cache_.PutAlias(exact_key, hit);
-        if (!hit->pruned) memo_.Insert('c', snap->epoch, body, hit->estimate);
+        Put(exact_key, hit);
         out.estimate = hit->estimate;
-        out.pruned = hit->pruned;
         return out;
       }
     }
 
+    // A cache miss: the estimator runs the path join and the formulas
+    // (Eqs. 2-5) under the request deadline. The allocation fault site
+    // fires once per miss.
     estimator::Estimator est(*snap->synopsis);
+    auto estimate_miss = [&](const xpath::Query& q) -> Result<double> {
+      obs::ScopedStageTimer t(&spans, Stage::kEstimate,
+                              stats_.StageHist(Stage::kEstimate), timed);
+      if (FaultFires(kAllocFaultSite)) {
+        return Status(StatusCode::kInternal, "injected allocation failure");
+      }
+      return est.Estimate(q, limits);
+    };
+    // Deterministic answers are properties of (query, epoch) and are
+    // cached; deadline, fault and validation errors are not.
+    auto cacheable = [](const Result<double>& r) {
+      return r.ok() || r.status().code() == StatusCode::kUnsupported;
+    };
 
     // Computes, caches ('d' namespace) and serves the order-free
     // estimate of `canonical` — the degradation rung for order-axis
@@ -665,25 +649,9 @@ EstimateOutcome EstimationService::EstimateAdmitted(
     auto run_degraded = [&](bool alias_exact) -> EstimateOutcome {
       EstimateOutcome d;
       d.degraded = true;
-      if (memo_.enabled()) {
-        std::optional<Result<double>> m;
-        {
-          obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
-                                  stats_.StageHist(Stage::kCacheLookup),
-                                  timed);
-          m = memo_.Lookup('d', snap->epoch, body);
-        }
-        if (m.has_value()) {
-          outcome_label = "memo-hit";
-          stats_.memo_hits.Inc();
-          d.estimate = std::move(*m);
-          return d;
-        }
-        stats_.memo_misses.Inc();
-      }
       const std::string degraded_key = MakeKey('d', snap->epoch, body);
       {
-        std::shared_ptr<const CachedPlan> hit;
+        std::shared_ptr<const Answer> hit;
         {
           obs::ScopedStageTimer t(&spans, Stage::kCacheLookup,
                                   stats_.StageHist(Stage::kCacheLookup), timed);
@@ -692,39 +660,24 @@ EstimateOutcome EstimationService::EstimateAdmitted(
         if (hit) {
           outcome_label = "canonical-hit";
           stats_.canonical_hits.Inc();
-          if (alias_exact) cache_.PutAlias(exact_key, hit);
-          memo_.Insert('d', snap->epoch, body, hit->estimate);
+          if (alias_exact) Put(exact_key, hit);
           d.estimate = hit->estimate;
           return d;
         }
       }
       xpath::Query base = canonical;
       base.orders.clear();
-      Result<estimator::Estimator::Compiled> compiled = [&] {
-        obs::ScopedStageTimer t(&spans, Stage::kJoin,
-                                stats_.StageHist(Stage::kJoin), timed);
-        return est.Compile(base, limits);
-      }();
-      if (!compiled.ok()) {
-        d.estimate = compiled.status();
-        return d;
-      }
-      Result<double> estimate = [&] {
-        obs::ScopedStageTimer t(&spans, Stage::kFormula,
-                                stats_.StageHist(Stage::kFormula), timed);
-        return est.EstimateCompiled(compiled.value(), limits);
-      }();
-      d.estimate = estimate;
-      if (estimate.status().code() == StatusCode::kDeadlineExceeded) {
+      d.estimate = estimate_miss(base);
+      if (d.estimate.status().code() == StatusCode::kDeadlineExceeded) {
         outcome_label = "deadline";
         return d;  // a blown deadline is not a property of the query
       }
+      if (!cacheable(d.estimate)) return d;  // "error", uncached
       outcome_label = "miss";
-      auto plan = std::make_shared<const CachedPlan>(
-          CachedPlan{std::move(compiled).value(), estimate, /*degraded=*/true});
-      cache_.PutCanonical(degraded_key, plan);
-      if (alias_exact) cache_.PutAlias(exact_key, std::move(plan));
-      memo_.Insert('d', snap->epoch, body, estimate);
+      auto answer = std::make_shared<const Answer>(
+          Answer{d.estimate, /*degraded=*/true, /*pruned=*/false});
+      Put(degraded_key, answer);
+      if (alias_exact) Put(exact_key, std::move(answer));
       stats_.misses.Inc();
       return d;
     };
@@ -748,47 +701,29 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       return run_degraded(/*alias_exact=*/true);
     }
 
-    // Full-fidelity path: compile (path join), then the estimation
-    // formulas, both under the request deadline.
-    Result<estimator::Estimator::Compiled> compiled = [&] {
-      obs::ScopedStageTimer t(&spans, Stage::kJoin,
-                              stats_.StageHist(Stage::kJoin), timed);
-      return est.Compile(canonical, limits);
-    }();
-
-    Result<double> estimate{0.0};
-    if (compiled.ok()) {
-      obs::ScopedStageTimer t(&spans, Stage::kFormula,
-                              stats_.StageHist(Stage::kFormula), timed);
-      estimate = est.EstimateCompiled(compiled.value(), limits);
-    } else {
-      estimate = compiled.status();
-    }
+    // Full-fidelity path.
+    out.estimate = estimate_miss(canonical);
 
     // Rung 3 — deadline-forced fallback: the full computation did not
     // fit, but the (much cheaper) order-free one might still make it.
-    if (estimate.status().code() == StatusCode::kDeadlineExceeded) {
+    if (out.estimate.status().code() == StatusCode::kDeadlineExceeded) {
       if (req.allow_degraded && wants_order && !req.deadline.HasExpired()) {
         return run_degraded(/*alias_exact=*/false);
       }
       outcome_label = "deadline";
-      out.estimate = estimate;
       return out;  // never cached: not a property of the query
     }
-    if (!compiled.ok()) {
+    if (!cacheable(out.estimate)) {
       outcome_label = "error";
-      out.estimate = estimate;
-      return out;  // compile errors: uncached, as before
+      return out;
     }
 
     outcome_label = "miss";
-    auto plan = std::make_shared<const CachedPlan>(
-        CachedPlan{std::move(compiled).value(), estimate, /*degraded=*/false});
-    cache_.PutCanonical(canonical_key, plan);
-    cache_.PutAlias(exact_key, std::move(plan));
-    memo_.Insert('c', snap->epoch, body, estimate);
+    auto answer = std::make_shared<const Answer>(
+        Answer{out.estimate, /*degraded=*/false, /*pruned=*/false});
+    Put(canonical_key, answer);
+    Put(exact_key, std::move(answer));
     stats_.misses.Inc();
-    out.estimate = estimate;
     return out;
   }();
 
@@ -818,8 +753,6 @@ EstimateOutcome EstimationService::EstimateAdmitted(
       tenant.Inc(&TenantTable::Lane::errors);
     } else if (ol == "exact-hit" || ol == "canonical-hit") {
       tenant.Inc(&TenantTable::Lane::plan_hits);
-    } else if (ol == "memo-hit") {
-      tenant.Inc(&TenantTable::Lane::memo_hits);
     }
   }
   // Tail-based retention (DESIGN.md §16): the keep decision runs at
@@ -1072,13 +1005,6 @@ std::string EstimationService::StatszJson() {
       .Set(static_cast<int64_t>(cache.bytes));
   obs_.GetGauge("service.plan_cache.evictions")
       .Set(static_cast<int64_t>(cache.evictions));
-  const LruStats memo = memo_.stats();
-  obs_.GetGauge("service.estimate_memo.entries")
-      .Set(static_cast<int64_t>(memo.entries));
-  obs_.GetGauge("service.estimate_memo.bytes")
-      .Set(static_cast<int64_t>(memo.bytes));
-  obs_.GetGauge("service.estimate_memo.evictions")
-      .Set(static_cast<int64_t>(memo.evictions));
   // Splice the accuracy section in as a fourth top-level key, keeping
   // the registry's counters/gauges/histograms rendering untouched.
   std::string j = obs_.ToJson();

@@ -8,12 +8,15 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/sharded_lru.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "estimator/estimator.h"
 #include "obs/accuracy.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -21,9 +24,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "xpath/query.h"
-#include "service/estimate_memo.h"
 #include "service/maintenance.h"
-#include "service/plan_cache.h"
 #include "service/service_stats.h"
 #include "service/synopsis_registry.h"
 
@@ -31,24 +32,17 @@ namespace xee::service {
 
 /// Construction knobs for EstimationService.
 struct ServiceOptions {
-  /// Byte budget of the compiled-plan cache (0 effectively disables
-  /// caching: every Put immediately evicts down to one entry per shard).
+  /// Byte budget of the answer cache (DESIGN.md §13). Every entry,
+  /// canonical or exact-string alias, is charged its key plus the
+  /// answer. 0 effectively disables caching: every Put immediately
+  /// evicts down to one entry per shard.
   size_t plan_cache_bytes = 8ull << 20;
-  /// Plan-cache shard count (contention vs. bookkeeping overhead).
-  /// Shared by the estimate memo.
+  /// Answer-cache shard count (contention vs. bookkeeping overhead).
   size_t cache_shards = 8;
-  /// Byte budget of the final-estimate memo (service/estimate_memo.h):
-  /// a sharded LRU from (canonical plan hash, synopsis epoch) to the
-  /// finished estimate. Entries are ~100 bytes vs kilobytes for a
-  /// cached plan, so estimates survive plan evictions; a warm repeat
-  /// against an unchanged synopsis costs parse + canonicalize + one
-  /// probe. Epoch-keyed, so snapshot swaps invalidate for free.
-  /// 0 disables the memo.
-  size_t estimate_memo_bytes = 1ull << 20;
   /// Run the static query analyzer (xpath/analyze.h, DESIGN.md §15) on
-  /// plan-cache misses: answer provably-empty queries 0 in O(plan) with
+  /// exact-key misses: answer provably-empty queries 0 in O(plan) with
   /// outcome "pruned", and rewrite queries to estimator-invariant
-  /// cheaper forms so alias families share one cached plan. Served
+  /// cheaper forms so alias families share one cached answer. Served
   /// numbers are bit-identical with the analyzer on or off; only the
   /// pruned/rewritten labels and the cache economics change.
   bool enable_analyzer = true;
@@ -214,6 +208,19 @@ struct EstimateOutcome {
   Status status() const { return estimate.status(); }
 };
 
+/// One cached answer (DESIGN.md §13): the finished estimate of one
+/// canonical query against one synopsis epoch, or its deterministic
+/// error (kUnsupported), plus the labels a hit must reproduce.
+struct Answer {
+  Result<double> estimate{0.0};
+  /// Computed with the order constraints dropped (degradation ladder,
+  /// DESIGN.md §9); such answers live under 'd' keys, and an exact-
+  /// string hit on one serves only requests that allow degradation.
+  bool degraded = false;
+  /// Answered 0 by the analyzer's satisfiability proof (DESIGN.md §15).
+  bool pruned = false;
+};
+
 /// The standard SLO set the server's --slo-* flags configure:
 /// availability = 1 - (shed + deadline) / requests against
 /// `availability_objective` (skipped when <= 0), request p99 latency
@@ -252,7 +259,6 @@ class TenantTable {
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> plan_hits{0};
-    std::atomic<uint64_t> memo_hits{0};
   };
   static constexpr size_t kLanes = 4;
 
@@ -340,8 +346,8 @@ class TenantTable {
 };
 
 /// The serving layer over the paper's estimator: a synopsis registry
-/// (named, swappable datasets), a compiled-plan cache keyed by
-/// canonicalized queries, a worker pool for batch fan-out, admission
+/// (named, swappable datasets), an epoch-keyed answer cache over exact
+/// and canonicalized queries, a worker pool for batch fan-out, admission
 /// control with deadline enforcement, and a stats surface. Built for
 /// the optimizer hot loop — the estimate for a warm query costs one
 /// cache lookup instead of a parse + path join — and for staying up
@@ -356,6 +362,12 @@ class EstimationService {
  public:
   explicit EstimationService(ServiceOptions options = {});
   ~EstimationService();
+
+  /// Fault site (common/fault.h) fired once before each cache-miss
+  /// estimate, degraded ones included: when armed, the request fails
+  /// with kInternal as an injected allocation failure (never cached),
+  /// for chaos-testing callers' partial-failure handling.
+  static constexpr std::string_view kAllocFaultSite = "estimator.alloc";
 
   /// Named synopses: register/swap/remove datasets here.
   SynopsisRegistry& registry() { return registry_; }
@@ -381,7 +393,7 @@ class EstimationService {
 
   /// Cache outcome counters, occupancy, and per-stage latency.
   ServiceStatsSnapshot Stats() const {
-    return stats_.Snap(cache_.stats(), memo_.stats());
+    return stats_.Snap(cache_.stats());
   }
 
   /// This service's metrics registry (every ServiceStats counter lives
@@ -399,7 +411,7 @@ class EstimationService {
   obs::AccuracyTracker& accuracy() { return accuracy_; }
   const obs::AccuracyTracker& accuracy() const { return accuracy_; }
 
-  /// The STATSZ payload: refreshes the plan-cache occupancy gauges and
+  /// The STATSZ payload: refreshes the answer-cache occupancy gauges and
   /// renders this service's registry as JSON (with an "accuracy"
   /// section spliced in).
   std::string StatszJson();
@@ -448,10 +460,8 @@ class EstimationService {
   /// Tests and benches use this to observe a quiesced accuracy state.
   bool DrainShadow(uint64_t timeout_ms = 10'000) const;
 
-  void ClearPlanCache() {
-    cache_.Clear();
-    memo_.Clear();
-  }
+  /// Drops every cached answer.
+  void ClearPlanCache() { cache_.Clear(); }
 
   size_t threads() const { return pool_.size(); }
 
@@ -475,8 +485,8 @@ class EstimationService {
                         const estimator::SynopsisOptions& build = {});
 
   /// Applies a delta batch to a live synopsis: patches incrementally,
-  /// publishes a new epoch (plan-cache and memo entries for the old
-  /// epoch die with it), and — when the patch-error budget is blown —
+  /// publishes a new epoch (cached answers for the old epoch die with
+  /// it), and — when the patch-error budget is blown —
   /// marks the snapshot stale and (under auto_rebuild) schedules a
   /// rebuild. In-flight estimates are never blocked: they hold
   /// refcounted snapshots.
@@ -505,6 +515,9 @@ class EstimationService {
   /// 'd' degraded order-free), synopsis epoch, and the query body.
   static std::string MakeKey(char kind, uint64_t epoch,
                              const std::string& body);
+
+  /// Caches `answer` under `key`, charged against plan_cache_bytes.
+  void Put(const std::string& key, std::shared_ptr<const Answer> answer);
 
   /// Reserves up to `want` in-flight slots; returns how many were
   /// granted (possibly 0). Never blocks.
@@ -557,8 +570,9 @@ class EstimationService {
 
   ServiceOptions options_;
   SynopsisRegistry registry_;
-  PlanCache cache_;
-  EstimateMemo memo_;
+  /// The answer cache, keyed by MakeKey; aliases share the canonical
+  /// entry's Answer.
+  ShardedLru<std::string, Answer> cache_;
   obs::Registry obs_;  // must precede stats_/accuracy_ (handle resolution)
   ServiceStats stats_;
   obs::TraceRing traces_;

@@ -33,7 +33,7 @@ struct TrafficModel {
 
   /// Probability that a request respells its family *semantically*: a
   /// "//"-headed query is re-issued as "/<root_name>//..." — a different
-  /// canonical query (new plan-cache AND memo key) that the static
+  /// canonical query (a new answer-cache key) that the static
   /// analyzer's anchor/elide rewrites collapse back onto the family's
   /// plan. With the analyzer off, every such spelling compiles and
   /// caches as its own plan; the intel alias-storm scenarios measure

@@ -27,9 +27,14 @@ void AppendHeader(const Query& q, int n, std::string* out) {
 }  // namespace
 
 std::string StripWhitespace(std::string_view xpath) {
+  auto name_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+           c == '-' || c == '.';
+  };
   std::string out;
   out.reserve(xpath.size());
   bool in_quote = false;
+  bool skipped = false;  // whitespace dropped since the last copied byte
   for (size_t i = 0; i < xpath.size(); ++i) {
     const char c = xpath[i];
     if (in_quote && c == '\\' && i + 1 < xpath.size()) {
@@ -40,8 +45,18 @@ std::string StripWhitespace(std::string_view xpath) {
       ++i;
       continue;
     }
+    if (!in_quote && std::isspace(static_cast<unsigned char>(c))) {
+      skipped = true;
+      continue;
+    }
+    // Whitespace between two name characters separates tokens: keep one
+    // space so the parser rejects "reg ions" instead of reading a
+    // different name.
+    if (skipped && !out.empty() && name_char(out.back()) && name_char(c)) {
+      out.push_back(' ');
+    }
+    skipped = false;
     if (c == '"') in_quote = !in_quote;
-    if (!in_quote && std::isspace(static_cast<unsigned char>(c))) continue;
     out.push_back(c);
   }
   return out;

@@ -10,10 +10,13 @@
 namespace xee::xpath {
 
 /// Removes whitespace outside double-quoted value strings, so
-/// `" //a / b "` keys the same as `"//a/b"`. Understands the backslash
-/// escapes of value literals, so an escaped quote does not end the
-/// quoted region. The grammar of ParseXPath is whitespace-free outside
-/// literals; callers strip before parsing.
+/// `" //a / b "` keys the same as `"//a/b"`. Whitespace between two name
+/// characters (alphanumerics, `_`, `-`, `.`) collapses to one space
+/// instead, so `"//reg ions"` stays malformed rather than reading as
+/// `"//regions"`. Understands the backslash escapes of value literals,
+/// so an escaped quote does not end the quoted region. The grammar of
+/// ParseXPath is whitespace-free outside literals; callers strip before
+/// parsing.
 std::string StripWhitespace(std::string_view xpath);
 
 /// Escapes a value-predicate literal for embedding between double

@@ -20,11 +20,11 @@
 //    pairs and on systematic relaxations (child→descendant widening,
 //    leaf dropping) of every workload query.
 //  - Service surface: the pruned outcome (flag, exactly 0.0, label
-//    retention on exact/canonical hits), the analyzer counters, alias
-//    families meeting at one plan + one memo entry, epoch bumps killing
+//    retention on exact hits and on re-analyzed spellings), the analyzer
+//    counters, alias families meeting at one cached answer, epoch bumps killing
 //    shared entries exactly once and re-validating prunes, an
 //    analyzer-off service matching an analyzer-on service bit for bit,
-//    and a concurrent EstimateBatch slice over shared analyzed plans
+//    and a concurrent EstimateBatch slice over shared cached answers
 //    (the TSan build turns races into failures).
 
 #include "xpath/analyze.h"
@@ -557,8 +557,8 @@ TEST(ServiceIntel, PrunedOutcomeServesExactlyZeroAndKeepsItsLabel) {
     EXPECT_FALSE(out.degraded);
     EXPECT_FALSE(out.shed);
   }
-  // A different spelling of the same canonical query: the pruned label
-  // follows the shared canonical plan.
+  // A different spelling of the same canonical query is re-analyzed and
+  // pruned too.
   const service::EstimateOutcome alias =
       svc.Estimate("p", "//A[C][B]/no-such-tag");
   (void)svc.Estimate("p", "//A[B][C]/no-such-tag");
@@ -568,9 +568,9 @@ TEST(ServiceIntel, PrunedOutcomeServesExactlyZeroAndKeepsItsLabel) {
 }
 
 // Scripted request sequence with every analyzer counter pinned: prunes
-// answered on the miss path, the exact-hit path, and the canonical-hit
-// path all carry the label; an alias family ("/Root//B" == "//Root//B"
-// == "//B" after rewriting) compiles once and shares one memo entry.
+// answered on the analyzer path and the exact-hit path both carry the
+// label; an alias family ("/Root//B" == "//Root//B" == "//B" after
+// rewriting) estimates once and shares one canonical answer.
 TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   XEE_REQUIRES_OBS();
   service::EstimationService svc({.threads = 1});
@@ -580,8 +580,8 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
 
   (void)svc.Estimate("p", "//A/B/no-such-tag");   // prune, miss path
   (void)svc.Estimate("p", "//A/B/no-such-tag");   // prune, exact hit
-  (void)svc.Estimate("p", "//A[B][C]/no-such-tag");  // prune, new canonical
-  (void)svc.Estimate("p", "//A[C][B]/no-such-tag");  // prune, canonical hit
+  (void)svc.Estimate("p", "//A[B][C]/no-such-tag");  // prune, new spelling
+  (void)svc.Estimate("p", "//A[C][B]/no-such-tag");  // prune, respelling
   service::ServiceStatsSnapshot s = svc.Stats();
   EXPECT_EQ(s.analyzer_pruned, 4u);
   EXPECT_EQ(s.analyzer_checked, 3u);  // the exact hit skipped the analyzer
@@ -592,10 +592,12 @@ TEST(ServiceIntel, CountersFollowTheAnswerAndAliasFamiliesShareOneEntry) {
   ExpectSameBits(svc.Estimate("p", "//Root//B").estimate, direct, "family 2");
   ExpectSameBits(svc.Estimate("p", "//B").estimate, direct, "family 3");
   s = svc.Stats();
-  EXPECT_EQ(s.misses, 1u);       // one compile serves the whole family
-  EXPECT_EQ(s.memo_hits, 2u);    // the other two spellings hit the memo
+  EXPECT_EQ(s.misses, 1u);          // one estimate serves the whole family
+  EXPECT_EQ(s.canonical_hits, 2u);  // the other two spellings share it
   EXPECT_EQ(s.analyzer_rewritten, 2u);  // "//B" itself needs no rewrite
-  EXPECT_EQ(s.memo_entries, 1u);
+  // Three pruned aliases, plus the family's canonical answer and its
+  // three aliases.
+  EXPECT_EQ(s.cache_entries, 7u);
   EXPECT_EQ(s.analyzer_checked, 6u);
 }
 
@@ -619,12 +621,12 @@ TEST(ServiceIntel, EpochBumpKillsSharedEntriesOnceAndRevalidatesPrunes) {
   svc.registry().Register("p", SharedPaperSynopsis());  // epoch bump
   EXPECT_EQ(run_round(), warm);  // same synopsis, same bits
   service::ServiceStatsSnapshot s = svc.Stats();
-  // The family recompiled exactly once for the new epoch; the prune was
+  // The family re-estimated exactly once for the new epoch; the prune was
   // re-validated (analyzer ran again) without ever counting as a miss.
   EXPECT_EQ(s.misses, misses_warm + 1);
   EXPECT_EQ(s.analyzer_pruned, 2u);
 
-  EXPECT_EQ(run_round(), warm);  // steady state: no further compiles
+  EXPECT_EQ(run_round(), warm);  // steady state: no further estimates
   EXPECT_EQ(svc.Stats().misses, misses_warm + 1);
 }
 
@@ -679,7 +681,7 @@ TEST(ServiceIntel, ConcurrentBatchesShareAnalyzedPlansRaceFree) {
       estimator::Synopsis::Build(bed.doc, {}));
 
   // A request mix that exercises every analyzer path: the alias family
-  // (shared plan + memo entry), pruned queries, and real workload
+  // (one shared answer), pruned queries, and real workload
   // queries, replicated so batch members collide on the shared entries.
   std::vector<service::QueryRequest> reqs;
   for (int rep = 0; rep < 4; ++rep) {

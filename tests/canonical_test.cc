@@ -26,6 +26,19 @@ TEST(CanonicalTest, StripWhitespaceOutsideQuotes) {
   EXPECT_EQ(StripWhitespace(" //a[.=\"hello world\"] "),
             "//a[.=\"hello world\"]");
   EXPECT_EQ(StripWhitespace(""), "");
+  // Between two name characters whitespace separates tokens: one space
+  // survives, so the parser rejects the line instead of reading a
+  // different name.
+  EXPECT_EQ(StripWhitespace("//site/reg ions"), "//site/reg ions");
+  EXPECT_EQ(StripWhitespace("//a \t\n b"), "//a b");
+  EXPECT_EQ(StripWhitespace("/a/*[1 2]"), "/a/*[1 2]");
+  EXPECT_EQ(StripWhitespace("//x_1 -y . z"), "//x_1 -y . z");
+  EXPECT_EQ(ParseXPath(StripWhitespace("//site/reg ions")).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseXPath(StripWhitespace("/a/*[1 2]")).status().code(),
+            StatusCode::kParseError);
+  // Next to punctuation it is still noise.
+  EXPECT_EQ(StripWhitespace("//a [ b ] / child :: c"), "//a[b]/child::c");
 }
 
 TEST(CanonicalTest, WhitespaceSpellingsShareAKey) {

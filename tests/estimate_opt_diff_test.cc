@@ -1,26 +1,25 @@
-// Differential suite for the formula-tail optimizations: the memoized,
-// precompiled, and kernelized paths must be *bitwise* equal to the
-// unoptimized estimator — not approximately, not within epsilon.
+// Differential suite for the answer cache (DESIGN.md §13): whatever
+// path serves a request — a miss, an exact-string hit, a canonical hit
+// through another spelling, an alias that outlived its canonical entry —
+// the served number must be *bitwise* equal to Estimator::Estimate on
+// the request's own parse. Not approximately, not within epsilon.
 //
-//  - Estimator level: EstimateCompiled over a plan carrying precomputed
-//    FormulaConsts == EstimateCompiled over the same plan with its
-//    consts stripped (the legacy re-walk) == Estimate(query), for every
-//    query class the workload generator produces plus the paper's
-//    running example.
-//  - Service level: a memo-enabled service and a memo-disabled service
-//    answer identical request streams identically, including when the
-//    memo path is forced (plan cache starved so repeats can only be
-//    served from the memo) and across synopsis swaps (epoch bumps must
-//    never let a stale memo entry leak through).
-//  - A concurrency slice drives EstimateBatch against the shared memo
-//    from many threads (the TSan build turns data races into failures).
+//  - The workload (every query class the generator produces) and the
+//    paper's running example, cold and warm.
+//  - A starved 4 KiB budget under a 3-spelling alias storm, so entries
+//    are evicted constantly and aliases outlive their canonical entries.
+//  - An epoch bump: answers cached against the old synopsis must never
+//    leak through.
+//  - A 4-thread EstimateBatch slice (the TSan/ASan builds turn races and
+//    use-after-free on shared answers into failures).
 //  - A bench-regression slice pins stage-histogram sample counts stable
 //    across identically configured runs (the bug where per-mode stage
 //    rows drifted 56 vs 58 came from cumulative scrapes + a parked
 //    sampling cursor).
 //
 // Everything here compiles in both obs modes; under XEE_OBS_OFF the
-// stage-count checks degenerate to comparing empty snapshots.
+// counter and stage-count checks are skipped or degenerate to comparing
+// empty snapshots.
 
 #include <gtest/gtest.h>
 
@@ -28,16 +27,21 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "datagen/datagen.h"
 #include "estimator/estimator.h"
 #include "obs/window.h"
 #include "paper_fixture.h"
 #include "service/service.h"
+#include "sim/traffic.h"
 #include "workload/workload.h"
+#include "xpath/canonical.h"
 #include "xpath/parser.h"
 
 namespace xee {
 namespace {
+
+using SynopsisPtr = std::shared_ptr<const estimator::Synopsis>;
 
 // Bitwise equality of value-or-status results: equal doubles (by ==,
 // i.e. identical reals — both paths must do the same arithmetic in the
@@ -52,14 +56,22 @@ void ExpectSameResult(const Result<double>& a, const Result<double>& b,
   }
 }
 
+// The unserved reference: the estimator on the request text's own parse.
+Result<double> Reference(const estimator::Synopsis& syn,
+                         const std::string& text) {
+  Result<xpath::Query> q = xpath::ParseXPath(xpath::StripWhitespace(text));
+  if (!q.ok()) return q.status();
+  return estimator::Estimator(syn).Estimate(q.value());
+}
+
 struct Corpus {
   xml::Document doc;
-  std::vector<xpath::Query> queries;
+  std::vector<std::string> queries;
 };
 
 // A small datagen document plus every workload class (simple chains,
 // branches, both order-query families) — the Table 2 protocol at test
-// scale — with the paper's Figure 1 example appended separately.
+// scale.
 const Corpus& SharedCorpus() {
   static const Corpus* corpus = [] {
     auto* c = new Corpus;
@@ -73,7 +85,7 @@ const Corpus& SharedCorpus() {
     for (const auto* list : {&w.simple, &w.branch, &w.order_branch_target,
                              &w.order_trunk_target}) {
       for (const workload::WorkloadQuery& wq : *list) {
-        c->queries.push_back(wq.query);
+        c->queries.push_back(wq.query.ToString());
       }
     }
     return c;
@@ -81,79 +93,26 @@ const Corpus& SharedCorpus() {
   return *corpus;
 }
 
-void CheckAllPathsAgree(const estimator::Estimator& est,
-                        const std::vector<xpath::Query>& queries) {
-  size_t compiled_ok = 0, with_consts = 0;
-  for (const xpath::Query& q : queries) {
-    const std::string name = q.ToString();
-    const Result<double> baseline = est.Estimate(q);
-    Result<estimator::Estimator::Compiled> compiled = est.Compile(q);
-    ASSERT_EQ(compiled.ok(), baseline.ok()) << name;
-    if (!compiled.ok()) {
-      EXPECT_EQ(compiled.status().code(), baseline.status().code()) << name;
-      continue;
-    }
-    ++compiled_ok;
-    with_consts += compiled.value().consts.has_value();
-
-    // Precompiled path: the plan carries its constants.
-    ExpectSameResult(est.EstimateCompiled(compiled.value()), baseline,
-                     "precompiled: " + name);
-
-    // Legacy path: same plan, constants stripped — the full formula
-    // re-walk the precompute replaced.
-    estimator::Estimator::Compiled legacy = std::move(compiled).value();
-    legacy.consts.reset();
-    ExpectSameResult(est.EstimateCompiled(legacy), baseline,
-                     "legacy re-walk: " + name);
-  }
-  // The precompute must actually engage (every plan compiled without a
-  // deadline carries constants), or this suite is vacuous.
-  EXPECT_GT(compiled_ok, 0u);
-  EXPECT_EQ(with_consts, compiled_ok);
-}
-
-TEST(EstimateOptDiff, CompiledPathsMatchUnoptimizedEstimatorOnWorkload) {
-  const Corpus& c = SharedCorpus();
-  ASSERT_GT(c.queries.size(), 50u);
-  const estimator::Synopsis syn = estimator::Synopsis::Build(c.doc, {});
-  CheckAllPathsAgree(estimator::Estimator(syn), c.queries);
-}
-
-TEST(EstimateOptDiff, CompiledPathsMatchOnPaperExample) {
-  const xml::Document doc = testing::MakePaperDocument();
-  const estimator::Synopsis syn = estimator::Synopsis::Build(doc, {});
-  std::vector<xpath::Query> queries;
-  for (const char* s :
-       {"/Root/A/B", "/Root/A/B/D", "//B/D", "//A//E", "//A[/C/F]/B/D",
-        "//A[/B[/D]/E]", "//A/C/preceding-sibling::B",
-        "//A[/C/following-sibling::B/D]", "//A[/C/following::D]",
-        "/A[.=\"x\"]"}) {
-    auto q = xpath::ParseXPath(s);
-    if (q.ok()) queries.push_back(std::move(q).value());
-  }
-  ASSERT_GT(queries.size(), 6u);
-  CheckAllPathsAgree(estimator::Estimator(syn), queries);
-}
-
-// --- service-level memo differential ---------------------------------
-
-std::vector<service::QueryRequest> ServiceRequests(const std::string& name) {
+std::vector<service::QueryRequest> Requests(
+    const std::string& name, const std::vector<std::string>& queries) {
   std::vector<service::QueryRequest> reqs;
-  for (const xpath::Query& q : SharedCorpus().queries) {
-    reqs.push_back(service::QueryRequest{name, q.ToString()});
+  for (const std::string& q : queries) {
+    reqs.push_back(service::QueryRequest{name, q});
   }
   return reqs;
 }
 
-void ExpectSameOutcomes(const std::vector<service::EstimateOutcome>& a,
-                        const std::vector<service::EstimateOutcome>& b,
-                        const char* what) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ExpectSameResult(a[i].estimate, b[i].estimate,
-                     std::string(what) + " #" + std::to_string(i));
-    EXPECT_EQ(a[i].degraded, b[i].degraded) << what << " #" << i;
+// Every outcome against the reference on `syn`; full-fidelity answers
+// only (the synopses here carry order statistics and no deadline runs).
+void ExpectServedMatchesEstimate(
+    const estimator::Synopsis& syn,
+    const std::vector<service::QueryRequest>& reqs,
+    const std::vector<service::EstimateOutcome>& served, const char* what) {
+  ASSERT_EQ(reqs.size(), served.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const std::string label = std::string(what) + ": " + reqs[i].xpath;
+    ExpectSameResult(served[i].estimate, Reference(syn, reqs[i].xpath), label);
+    EXPECT_FALSE(served[i].degraded) << label;
   }
 }
 
@@ -166,33 +125,90 @@ std::vector<service::EstimateOutcome> RunAll(
   return out;
 }
 
-TEST(EstimateOptDiff, MemoOnServiceMatchesMemoOffService) {
+void CheckColdAndWarm(const SynopsisPtr& syn,
+                      const std::vector<std::string>& queries) {
+  service::EstimationService svc({.threads = 1});
+  svc.registry().Register("d", syn);
+  const std::vector<service::QueryRequest> reqs = Requests("d", queries);
+  ExpectServedMatchesEstimate(*syn, reqs, RunAll(svc, reqs), "cold");
+  ExpectServedMatchesEstimate(*syn, reqs, RunAll(svc, reqs), "warm");
+#ifndef XEE_OBS_OFF
+  // The warm pass was served from the cache, or this suite is vacuous.
+  EXPECT_GE(svc.Stats().exact_hits, reqs.size());
+#endif
+}
+
+TEST(EstimateOptDiff, ServedMatchesEstimateOnWorkload) {
+  const Corpus& c = SharedCorpus();
+  ASSERT_GT(c.queries.size(), 50u);
+  CheckColdAndWarm(std::make_shared<const estimator::Synopsis>(
+                       estimator::Synopsis::Build(c.doc, {})),
+                   c.queries);
+}
+
+TEST(EstimateOptDiff, ServedMatchesEstimateOnPaperExample) {
+  std::vector<std::string> queries;
+  for (const char* s :
+       {"/Root/A/B", "/Root/A/B/D", "//B/D", "//A//E", "//A[/C/F]/B/D",
+        "//A[/B[/D]/E]", "//A/C/preceding-sibling::B",
+        "//A[/C/following-sibling::B/D]", "//A[/C/following::D]",
+        "/A[.=\"x\"]", "//A/*/following-sibling::C"}) {
+    if (xpath::ParseXPath(s).ok()) queries.push_back(s);
+  }
+  ASSERT_GT(queries.size(), 6u);
+  CheckColdAndWarm(std::make_shared<const estimator::Synopsis>(
+                       estimator::Synopsis::Build(
+                           testing::MakePaperDocument(), {})),
+                   queries);
+}
+
+// Up to three distinct exact keys per query: itself, an axis-expanded
+// alias (same canonical key) and the root-anchored form (a different
+// canonical key that only the analyzer's rewrites reunite). Each group
+// is followed by a repeat of the group `lag` queries back, so under a
+// small budget some repeats land after their canonical entry was
+// evicted but while their aliases, inserted later, still serve.
+std::vector<std::string> AliasStorm(const std::vector<std::string>& queries,
+                                    const std::string& root_name,
+                                    size_t lag) {
+  Rng rng(0x5707u);
+  std::vector<std::vector<std::string>> groups;
+  std::vector<std::string> storm;
+  for (const std::string& q : queries) {
+    groups.push_back({q, sim::TrafficSource::AliasSpelling(rng, q),
+                      sim::TrafficSource::SemanticAliasSpelling(root_name, q)});
+    storm.insert(storm.end(), groups.back().begin(), groups.back().end());
+    if (groups.size() > lag) {
+      const std::vector<std::string>& back = groups[groups.size() - 1 - lag];
+      storm.insert(storm.end(), back.rbegin(), back.rend());
+    }
+  }
+  return storm;
+}
+
+TEST(EstimateOptDiff, StarvedAliasStormMatchesEstimate) {
   const Corpus& c = SharedCorpus();
   auto syn = std::make_shared<const estimator::Synopsis>(
       estimator::Synopsis::Build(c.doc, {}));
-  const std::vector<service::QueryRequest> reqs = ServiceRequests("d");
+  const std::string root = c.doc.TagNameOf(c.doc.Tag(c.doc.root()));
 
-  service::ServiceOptions off_opt;
-  off_opt.threads = 1;
-  off_opt.estimate_memo_bytes = 0;  // memo disabled entirely
-  service::EstimationService off(off_opt);
-  off.registry().Register("d", syn);
-
-  // Memo on, plan cache starved to one resident plan: from the second
-  // pass on, almost every answer can only come from the memo.
-  service::ServiceOptions on_opt;
-  on_opt.threads = 1;
-  on_opt.plan_cache_bytes = 0;
-  on_opt.cache_shards = 1;
-  service::EstimationService on(on_opt);
-  on.registry().Register("d", syn);
-
-  for (int pass = 0; pass < 3; ++pass) {
-    ExpectSameOutcomes(RunAll(on, reqs), RunAll(off, reqs), "pass");
+  // 4 KiB in one shard holds a dozen or so answers, so the lags sweep
+  // the eviction boundary: canonical entries die while the aliases
+  // inserted after them still serve.
+  service::EstimationService svc(
+      {.plan_cache_bytes = 4 << 10, .cache_shards = 1, .threads = 1});
+  svc.registry().Register("d", syn);
+  for (size_t lag : {1, 2, 3, 4, 6}) {
+    const std::vector<service::QueryRequest> reqs =
+        Requests("d", AliasStorm(c.queries, root, lag));
+    ExpectServedMatchesEstimate(*syn, reqs, RunAll(svc, reqs), "storm");
   }
 #ifndef XEE_OBS_OFF
-  const service::ServiceStatsSnapshot s = on.Stats();
-  EXPECT_GT(s.memo_hits, reqs.size());  // the memo path actually served
+  const service::ServiceStatsSnapshot s = svc.Stats();
+  EXPECT_GT(s.cache_evictions, c.queries.size());
+  EXPECT_GT(s.exact_hits, 0u);
+  EXPECT_GT(s.canonical_hits, 0u);
+  EXPECT_LE(s.cache_bytes, 2 * (4u << 10));  // budget held, one entry slack
 #endif
 }
 
@@ -207,38 +223,33 @@ TEST(EstimateOptDiff, EpochBumpNeverServesStaleMemoEntries) {
   coarse.o_variance = 1e9;
   auto syn_b = std::make_shared<const estimator::Synopsis>(
       estimator::Synopsis::Build(c.doc, coarse));
-  const std::vector<service::QueryRequest> reqs = ServiceRequests("d");
+  const std::vector<service::QueryRequest> reqs = Requests("d", c.queries);
 
-  service::EstimationService memo_svc({.threads = 1});
-  memo_svc.registry().Register("d", syn_a);
-  (void)RunAll(memo_svc, reqs);  // fill the memo at epoch 1
-  memo_svc.registry().Register("d", syn_b);  // epoch bump
-
-  service::ServiceOptions off_opt;
-  off_opt.threads = 1;
-  off_opt.estimate_memo_bytes = 0;
-  service::EstimationService fresh(off_opt);
-  fresh.registry().Register("d", syn_b);
-
-  ExpectSameOutcomes(RunAll(memo_svc, reqs), RunAll(fresh, reqs),
-                     "post-swap");
+  service::EstimationService svc({.threads = 1});
+  svc.registry().Register("d", syn_a);
+  ExpectServedMatchesEstimate(*syn_a, reqs, RunAll(svc, reqs), "epoch 1");
+  svc.registry().Register("d", syn_b);  // epoch bump
+  ExpectServedMatchesEstimate(*syn_b, reqs, RunAll(svc, reqs), "epoch 2");
+  ExpectServedMatchesEstimate(*syn_b, reqs, RunAll(svc, reqs), "epoch 2 warm");
 }
 
 TEST(EstimateOptDiff, ConcurrentBatchesShareTheMemoRaceFree) {
   const Corpus& c = SharedCorpus();
   auto syn = std::make_shared<const estimator::Synopsis>(
       estimator::Synopsis::Build(c.doc, {}));
-  const std::vector<service::QueryRequest> reqs = ServiceRequests("d");
+  const std::vector<service::QueryRequest> reqs = Requests(
+      "d",
+      AliasStorm(c.queries, c.doc.TagNameOf(c.doc.Tag(c.doc.root())), 8));
 
-  service::EstimationService svc({.threads = 4});
+  // A small budget keeps evictions racing the hits on shared answers.
+  service::EstimationService svc({.plan_cache_bytes = 16 << 10, .threads = 4});
   svc.registry().Register("d", syn);
-  const std::vector<service::EstimateOutcome> reference = RunAll(svc, reqs);
   for (int round = 0; round < 4; ++round) {
     if (round == 2) svc.registry().Register("d", syn);  // epoch bump mid-run
-    ExpectSameOutcomes(svc.EstimateBatch(reqs), reference, "batch");
+    ExpectServedMatchesEstimate(*syn, reqs, svc.EstimateBatch(reqs), "batch");
   }
 #ifndef XEE_OBS_OFF
-  EXPECT_GT(svc.Stats().memo_hits + svc.Stats().exact_hits, 0u);
+  EXPECT_GT(svc.Stats().exact_hits + svc.Stats().canonical_hits, 0u);
 #endif
 }
 
@@ -252,7 +263,7 @@ TEST(EstimateOptDiff, StageSampleCountsAreStableAcrossIdenticalRuns) {
   const Corpus& c = SharedCorpus();
   auto syn = std::make_shared<const estimator::Synopsis>(
       estimator::Synopsis::Build(c.doc, {}));
-  const std::vector<service::QueryRequest> reqs = ServiceRequests("d");
+  const std::vector<service::QueryRequest> reqs = Requests("d", c.queries);
 
   auto measure = [&]() -> std::vector<uint64_t> {
     service::ServiceOptions opt;
@@ -282,9 +293,11 @@ TEST(EstimateOptDiff, StageSampleCountsAreStableAcrossIdenticalRuns) {
   const std::vector<uint64_t> second = measure();
   EXPECT_EQ(first, second);
 #ifndef XEE_OBS_OFF
-  // The measured warm pass is probe-only: parse must not appear (its
-  // presence would mean warm-up samples leaked into the window).
+  // The measured warm pass is probe-only: parse and estimate must not
+  // appear (their presence would mean warm-up samples leaked into the
+  // window).
   EXPECT_EQ(first[static_cast<size_t>(obs::Stage::kParse)], 0u);
+  EXPECT_EQ(first[static_cast<size_t>(obs::Stage::kEstimate)], 0u);
   EXPECT_EQ(first[static_cast<size_t>(obs::Stage::kCacheLookup)],
             reqs.size());
 #endif

@@ -58,9 +58,9 @@ TEST(ObsOffTest, BucketMathStaysLive) {
 TEST(ObsOffTest, TraceApiCompilesAndNoOps) {
   TraceSpans spans;  // plain struct: still real, still cheap
   {
-    ScopedStageTimer t(&spans, Stage::kJoin, nullptr);
+    ScopedStageTimer t(&spans, Stage::kEstimate, nullptr);
   }
-  EXPECT_EQ(spans.StageNs(Stage::kJoin), 0u);  // stub timer records nothing
+  EXPECT_EQ(spans.StageNs(Stage::kEstimate), 0u);  // stub timer records nothing
   EXPECT_EQ(spans.SumNs(), 0u);
 
   TraceRing ring(128, 1000);

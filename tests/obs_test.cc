@@ -322,12 +322,12 @@ TEST(ObsTest, TraceJsonRendersStagesAndCounters) {
   r.query = "//a/b";
   r.outcome = "miss";
   r.tail_class = "slow";
-  r.spans.stage_ns[static_cast<size_t>(Stage::kJoin)] = 42;
+  r.spans.stage_ns[static_cast<size_t>(Stage::kEstimate)] = 42;
   r.spans.containment_tests = 7;
   ring.Record(std::move(r));
   const std::string json = ring.ToJson();
   EXPECT_NE(json.find("\"total_ns\":12345"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"join\":42"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"estimate\":42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"containment_tests\":7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"tail\":[{"), std::string::npos) << json;
   EXPECT_NE(json.find("\"tail\":\"slow\""), std::string::npos) << json;
@@ -342,8 +342,7 @@ TEST(ObsTest, StageNamesAreStable) {
   EXPECT_EQ(StageName(Stage::kCanonicalize), "canonicalize");
   EXPECT_EQ(StageName(Stage::kCacheLookup), "cache_lookup");
   EXPECT_EQ(StageName(Stage::kSnapshot), "snapshot");
-  EXPECT_EQ(StageName(Stage::kJoin), "join");
-  EXPECT_EQ(StageName(Stage::kFormula), "formula");
+  EXPECT_EQ(StageName(Stage::kEstimate), "estimate");
 }
 
 // --- Concurrency (run under TSan by scripts/check_tsan.sh) ----------

@@ -113,11 +113,7 @@ TEST(ServiceTest, MatchesDirectEstimatorAndCountsCacheOutcomes) {
 
 TEST(ServiceTest, SemanticallyEqualSpellingsShareOnePlan) {
   XEE_REQUIRES_OBS();
-  // Memo disabled: with it on, the respelling is answered one rung
-  // earlier (estimate memo, keyed by the same canonical hash) and never
-  // reaches the canonical plan-cache probe this test pins. The memo
-  // rung has its own tests below.
-  EstimationService svc({.estimate_memo_bytes = 0, .threads = 1});
+  EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
 
   ASSERT_TRUE(svc.Estimate("paper", "//A[B][C]/B/D").ok());
@@ -205,25 +201,6 @@ TEST(ServiceTest, SwapServesNewVersionWhileOldSnapshotsSurvive) {
   EXPECT_TRUE(svc.registry().Remove("data"));
   EXPECT_FALSE(svc.Estimate("data", "//A/B").ok());
   EXPECT_GT(pinned->synopsis->TagCount(), 0u);
-}
-
-TEST(ServiceTest, CompiledPlansMatchUncompiledEstimates) {
-  estimator::Synopsis syn = PaperSynopsis();
-  estimator::Estimator est(syn);
-  for (const char* text : kPaperQueries) {
-    xpath::Query q = xpath::ParseXPath(text).value();
-    Result<estimator::Estimator::Compiled> plan = est.Compile(q);
-    ASSERT_TRUE(plan.ok()) << text;
-    EXPECT_GT(plan.value().ApproxBytes(), 0u);
-    Result<double> direct = est.Estimate(q);
-    Result<double> compiled = est.EstimateCompiled(plan.value());
-    ASSERT_EQ(direct.ok(), compiled.ok()) << text;
-    if (direct.ok()) {
-      EXPECT_EQ(direct.value(), compiled.value()) << text;
-    } else {
-      EXPECT_EQ(direct.status().code(), compiled.status().code()) << text;
-    }
-  }
 }
 
 TEST(ServiceTest, BatchMatchesSequentialBitForBit) {
@@ -347,10 +324,10 @@ TEST(ServiceTest, ExpiredDeadlineRejectsBeforeAnyWork) {
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(r.degraded);
 
-  // Rejected at the door: no parse ran, no join ran.
+  // Rejected at the door: no parse ran, no estimate ran.
   ServiceStatsSnapshot s = svc.Stats();
   EXPECT_EQ(s.parse.count, 0u);
-  EXPECT_EQ(s.join.count, 0u);
+  EXPECT_EQ(s.estimate.count, 0u);
   EXPECT_EQ(s.deadline_exceeded, 1u);
 }
 
@@ -364,14 +341,6 @@ TEST(ServiceTest, EstimatorHonorsDeadlineLimits) {
   Result<double> r = est.Estimate(q, limits);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-
-  Result<estimator::Estimator::Compiled> plan = est.Compile(q);
-  ASSERT_TRUE(plan.ok());
-  Result<double> rc = est.EstimateCompiled(plan.value(), limits);
-  ASSERT_FALSE(rc.ok());
-  EXPECT_EQ(rc.status().code(), StatusCode::kDeadlineExceeded);
-
-  EXPECT_FALSE(est.Compile(q, limits).ok());
 
   // An infinite deadline is the historical behavior, bit-for-bit.
   EXPECT_EQ(est.Estimate(q).value(), est.Estimate(q, {}).value());
@@ -665,12 +634,12 @@ TEST(ServiceTest, InjectedAllocationFailureIsTransient) {
     FaultConfig cfg;
     cfg.probability = 1.0;
     cfg.max_fires = 1;
-    ScopedFault fault(std::string(estimator::Estimator::kAllocFaultSite), cfg);
+    ScopedFault fault(std::string(EstimationService::kAllocFaultSite), cfg);
     EstimateOutcome r = svc.Estimate("paper", "//A/B");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   }
-  // The failure was not memoized; the retry succeeds.
+  // The failure was not cached; the retry succeeds.
   EXPECT_TRUE(svc.Estimate("paper", "//A/B").ok());
 }
 
@@ -752,38 +721,63 @@ TEST(ServiceTest, ConcurrentRegistryChaosUnderFaultInjection) {
   EXPECT_EQ(violations.load(), 0);
 }
 
-// --- estimate memo (DESIGN.md §13) ------------------------------------
+// --- the answer cache (DESIGN.md §13) --------------------------------
 
-TEST(ServiceTest, MemoServesRepeatsAfterPlanEviction) {
-  XEE_REQUIRES_OBS();
-  // Plan cache starved to one resident entry: a repeat can only be
-  // answered by recompiling or by the estimate memo.
-  EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
-                         .threads = 1});
-  estimator::Synopsis reference = PaperSynopsis();
+TEST(ServiceTest, WhitespaceInsideANameIsAParseError) {
+  EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
+  ASSERT_TRUE(svc.Estimate("paper", "//Root/A").ok());
+  // Whitespace around steps strips; inside a name it separates two
+  // tokens, so the request must not be served from the //Root/A entry.
+  EXPECT_TRUE(svc.Estimate("paper", " //Root / A ").ok());
+  EstimateOutcome r = svc.Estimate("paper", "//Ro ot/A");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
 
-  for (const char* q : kPaperQueries) (void)svc.Estimate("paper", q);
-  const uint64_t misses_cold = svc.Stats().misses;
-  for (const char* q : kPaperQueries) {
-    EstimateOutcome got = svc.Estimate("paper", q);
-    Result<double> want = Direct(reference, q);
-    ASSERT_EQ(got.ok(), want.ok()) << q;
-    if (want.ok()) EXPECT_EQ(got.value(), want.value()) << q;  // bit-for-bit
-  }
-  const ServiceStatsSnapshot s = svc.Stats();
-  EXPECT_GT(s.memo_hits, 0u);
-  // The repeat pass never recompiled: every plan-cache miss is from the
-  // cold pass.
-  EXPECT_EQ(s.misses, misses_cold);
-  EXPECT_GT(s.memo_entries, 0u);
-  EXPECT_GT(s.memo_bytes, 0u);
+TEST(ServiceTest, AliasesServeRepeatsAfterCanonicalEviction) {
+  XEE_REQUIRES_OBS();
+  estimator::Synopsis reference = PaperSynopsis();
+  // Step 1 stores //A/B's canonical entry and its exact alias, step 2 a
+  // second alias (a canonical hit), step 3 an unrelated query's two
+  // entries. Returns the cache bytes after each step.
+  auto run = [](EstimationService& svc) {
+    std::vector<uint64_t> bytes;
+    for (const char* q : {"//A/B", "//A/child::B", "//A/B/D"}) {
+      EXPECT_TRUE(svc.Estimate("paper", q).ok()) << q;
+      bytes.push_back(svc.Stats().cache_bytes);
+    }
+    return bytes;
+  };
+  EstimationService roomy({.cache_shards = 1, .threads = 1});
+  roomy.registry().Register("paper", PaperSynopsis());
+  const std::vector<uint64_t> b = run(roomy);
+
+  // Room for exactly the second alias plus step 3's two entries: step 3
+  // evicts from the LRU tail — the first alias, then the canonical
+  // entry — and the second alias, refreshed by its canonical hit after
+  // both, survives its canonical entry.
+  EstimationService svc({.plan_cache_bytes = b[2] - b[0], .cache_shards = 1,
+                         .threads = 1});
+  svc.registry().Register("paper", PaperSynopsis());
+  (void)run(svc);
+  const uint64_t misses = svc.Stats().misses;
+  EstimateOutcome alias = svc.Estimate("paper", "//A/child::B");
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ(alias.value(), Direct(reference, "//A/B").value());  // bitwise
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
+  EXPECT_EQ(svc.Stats().misses, misses);  // served without re-estimating
+  // The canonical entry is gone: the first spelling re-estimates.
+  ASSERT_TRUE(svc.Estimate("paper", "//A/B").ok());
+  EXPECT_EQ(svc.Stats().misses, misses + 1);
 }
 
 TEST(ServiceTest, MemoDisabledByZeroBudgetStaysCorrect) {
   XEE_REQUIRES_OBS();
+  // Budget 0 keeps one resident answer per shard: nearly every request
+  // re-estimates, and every answer must still be the estimator's.
   EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
-                         .estimate_memo_bytes = 0, .threads = 1});
+                         .threads = 1});
   estimator::Synopsis reference = PaperSynopsis();
   svc.registry().Register("paper", PaperSynopsis());
   for (int pass = 0; pass < 2; ++pass) {
@@ -795,9 +789,12 @@ TEST(ServiceTest, MemoDisabledByZeroBudgetStaysCorrect) {
     }
   }
   const ServiceStatsSnapshot s = svc.Stats();
-  EXPECT_EQ(s.memo_hits, 0u);
-  EXPECT_EQ(s.memo_misses, 0u);  // disabled probes don't count as misses
+  EXPECT_LE(s.cache_entries, 1u);
+  EXPECT_GT(s.cache_evictions, 0u);
+  // The estimate memo is gone; its fields stay for old scrapers.
   EXPECT_EQ(s.memo_entries, 0u);
+  EXPECT_EQ(s.memo_bytes, 0u);
+  EXPECT_EQ(s.memo_evictions, 0u);
 }
 
 TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
@@ -806,27 +803,23 @@ TEST(ServiceTest, MemoEntriesDieWithTheirEpoch) {
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
   (void)svc.Estimate("paper", "//A/B");
-  const uint64_t hits_before = svc.Stats().memo_hits;
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
 
-  // Same synopsis, new epoch: the old memo entries are unreachable (the
-  // epoch is part of the key), so the next request misses the memo and
-  // recompiles under the new epoch.
+  // Same synopsis, new epoch: the old answers are unreachable (the
+  // epoch is part of every key), so the next request misses and
+  // re-estimates under the new epoch.
   svc.registry().Register("paper", PaperSynopsis());
-  const uint64_t misses_before = svc.Stats().memo_misses;
+  const uint64_t misses_before = svc.Stats().misses;
   (void)svc.Estimate("paper", "//A/B");
-  EXPECT_EQ(svc.Stats().memo_hits, hits_before);
-  EXPECT_GT(svc.Stats().memo_misses, misses_before);
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
+  EXPECT_EQ(svc.Stats().misses, misses_before + 1);
 }
 
 TEST(ServiceTest, DegradedMemoNeverLeaksIntoStrictRequests) {
   XEE_REQUIRES_OBS();
   estimator::SynopsisOptions no_order;
   no_order.build_order = false;
-  // Starved plan cache so strict requests can't be answered (or
-  // refused) from a cached plan either — both rungs must re-derive the
-  // refusal.
-  EstimationService svc({.plan_cache_bytes = 0, .cache_shards = 1,
-                         .threads = 1});
+  EstimationService svc({.threads = 1});
   svc.registry().Register(
       "paper",
       estimator::Synopsis::Build(testing::MakePaperDocument(), no_order));
@@ -835,19 +828,22 @@ TEST(ServiceTest, DegradedMemoNeverLeaksIntoStrictRequests) {
   EstimateOutcome first = svc.Estimate("paper", order_query);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.degraded);
-  // Push the one residual plan out (the starved cache holds a single
-  // entry — the order query's own alias, which would serve the repeat
-  // as an exact hit and bypass the memo rung under test).
-  (void)svc.Estimate("paper", "//A/B");
-  // The repeat is served from the 'd' memo and stays flagged degraded.
+  // The repeat is an exact hit on the degraded answer and stays flagged
+  // degraded; a respelling finds it under the 'd' canonical key.
   EstimateOutcome repeat = svc.Estimate("paper", order_query);
   ASSERT_TRUE(repeat.ok());
   EXPECT_TRUE(repeat.degraded);
   EXPECT_EQ(repeat.value(), first.value());
-  EXPECT_GT(svc.Stats().memo_hits, 0u);
+  EstimateOutcome respelled =
+      svc.Estimate("paper", "//A/child::B/following-sibling::C");
+  ASSERT_TRUE(respelled.ok());
+  EXPECT_TRUE(respelled.degraded);
+  EXPECT_EQ(respelled.value(), first.value());
+  EXPECT_EQ(svc.Stats().exact_hits, 1u);
+  EXPECT_EQ(svc.Stats().canonical_hits, 1u);
 
-  // A strict request must still be refused — the memoized degraded
-  // answer exists but is only reachable once degradation is permitted.
+  // A strict request must still be refused — the cached degraded answer
+  // exists but is only reachable once degradation is permitted.
   QueryRequest strict;
   strict.synopsis = "paper";
   strict.xpath = order_query;
@@ -862,12 +858,13 @@ TEST(ServiceTest, ClearPlanCacheAlsoClearsTheMemo) {
   EstimationService svc({.threads = 1});
   svc.registry().Register("paper", PaperSynopsis());
   (void)svc.Estimate("paper", "//A/B");
-  EXPECT_GT(svc.Stats().memo_entries, 0u);
+  EXPECT_EQ(svc.Stats().cache_entries, 2u);  // canonical + exact alias
   svc.ClearPlanCache();
-  EXPECT_EQ(svc.Stats().memo_entries, 0u);
-  EXPECT_EQ(svc.Stats().memo_bytes, 0u);
-  // Still answers correctly after the flush (recompile path).
+  EXPECT_EQ(svc.Stats().cache_entries, 0u);
+  EXPECT_EQ(svc.Stats().cache_bytes, 0u);
+  // Still answers correctly after the flush (re-estimate path).
   EXPECT_TRUE(svc.Estimate("paper", "//A/B").ok());
+  EXPECT_EQ(svc.Stats().misses, 2u);
 }
 
 }  // namespace
